@@ -89,240 +89,33 @@ pub fn default_source(graph: &CsrGraph) -> u32 {
 /// # Errors
 ///
 /// Propagates collective validation errors.
-///
-/// # Panics
-///
-/// Panics if validation fails.
-#[allow(clippy::needless_range_loop)] // vertex ids drive bit positions
 pub fn run_bfs(cfg: &BfsConfig, graph: &CsrGraph, source: u32) -> pidcomm::Result<AppRun> {
     run_bfs_in(cfg, graph, source, &mut SystemArena::new())
 }
 
 /// As [`run_bfs`], but sourcing the `PimSystem` and staging buffers from
 /// `arena` (and returning them to it), so repeated runs — e.g. consecutive
-/// sweep cells on one worker — reuse allocations. Results are
-/// byte-identical to [`run_bfs`].
+/// sweep cells on one worker — reuse allocations. This is
+/// [`run_bfs_resilient_in`] with no fault plan and the default policy.
 ///
 /// # Errors
 ///
-/// Propagates collective validation errors.
-#[allow(clippy::needless_range_loop)] // vertex ids drive bit positions
+/// As [`run_bfs`].
 pub fn run_bfs_in(
     cfg: &BfsConfig,
     graph: &CsrGraph,
     source: u32,
     arena: &mut SystemArena,
 ) -> pidcomm::Result<AppRun> {
-    let p = cfg.pes;
-    let n = graph.num_vertices();
-    let geom = DimmGeometry::with_pes(p);
-    let mut sys = arena.system(geom);
-    let mut plans = arena.take_extension::<PlanCache>();
-    let manager = HypercubeManager::new(HypercubeShape::linear(p)?, geom)?;
-    let comm = Communicator::new(manager)
-        .with_opt(cfg.opt)
-        .with_threads(cfg.threads);
-    let mask = DimMask::all(comm.manager().shape());
-    let mut profile = AppProfile::new("BFS", format!("{n}v"));
-
-    let per_pe = n.div_ceil(p);
-    // Visited bitmap, padded to the AllReduce alignment (8 x P bytes).
-    let bitmap_bytes = n.div_ceil(8).next_multiple_of(8 * p);
-
-    // Scatter adjacency partitions: PE p gets the CSR rows of its owned
-    // vertex range, padded to a uniform size.
-    let slice_bytes = {
-        let max_bytes = (0..p)
-            .map(|pe| {
-                let lo = pe * per_pe;
-                let hi = ((pe + 1) * per_pe).min(n);
-                (lo..hi)
-                    .map(|v| 4 + 4 * graph.degree(v as u32))
-                    .sum::<usize>()
-            })
-            .max()
-            .unwrap_or(0);
-        max_bytes.next_multiple_of(8).max(8)
-    };
-    let mut adj_host = arena.bytes(p * slice_bytes);
-    par_chunks(&mut adj_host, slice_bytes, cfg.threads, |pe, chunk| {
-        let mut off = 0;
-        let lo = pe * per_pe;
-        let hi = ((pe + 1) * per_pe).min(n);
-        for v in lo..hi {
-            let nbrs = graph.neighbors(v as u32);
-            chunk[off..off + 4].copy_from_slice(&(nbrs.len() as u32).to_le_bytes());
-            off += 4;
-            for &t in nbrs {
-                chunk[off..off + 4].copy_from_slice(&t.to_le_bytes());
-                off += 4;
-            }
-        }
-    });
-    let scatter_plan = comm.plan_cached(
-        &mut plans,
-        Primitive::Scatter,
-        &mask,
-        &BufferSpec::new(0, 0, slice_bytes).with_dtype(DType::U32),
-        ReduceKind::Sum,
-    )?;
-    // One-shot send: the direct path assembles rows through a cache-hot
-    // per-cluster scratch as it writes, which beats materializing a
-    // prepared image that would execute only once (the prepared tier
-    // pays off on repeat executes — see the resilient runner's retries).
-    let report = scatter_plan.execute_with_host(&mut sys, core::slice::from_ref(&adj_host))?;
-    profile.record(&report);
-    arena.recycle_bytes(adj_host);
-
-    let bitmap_src = slice_bytes.next_multiple_of(64);
-    let bitmap_dst = bitmap_src + bitmap_bytes.next_multiple_of(64);
-
-    // The per-level merge plan, built once for the whole traversal (and
-    // pooled across runs): BFS issues the identical AllReduce(Or) every
-    // level, so planning per call was pure per-level overhead.
-    let merge_plan = comm.plan_cached(
-        &mut plans,
-        Primitive::AllReduce,
-        &mask,
-        &BufferSpec::new(bitmap_src, bitmap_dst, bitmap_bytes).with_dtype(DType::U8),
-        ReduceKind::Or,
-    )?;
-
-    // Host-side mirrors of the distributed state (each PE holds the same
-    // global bitmap after every AllReduce).
-    let set_bit = |bm: &mut [u8], v: usize| bm[v / 8] |= 1 << (v % 8);
-    let mut visited = vec![0u8; bitmap_bytes];
-    set_bit(&mut visited, source as usize);
-    let mut merged = vec![0u8; bitmap_bytes];
-
-    let mut dist = vec![u32::MAX; n];
-    dist[source as usize] = 0;
-    let mut frontier: Vec<u32> = vec![source];
-    let mut level = 0u32;
-
-    while !frontier.is_empty() {
-        level += 1;
-
-        // PE kernel: each PE expands its owned frontier vertices into a
-        // local copy of the bitmap — a per-*worker* scratch buffer each
-        // item overwrites wholesale, so high PE counts stop paying one
-        // bitmap allocation per PE. The frontier is sorted (it comes out
-        // of the word-ordered new-bit scan), so each PE's owned vertices
-        // are one contiguous slice found by binary search instead of a
-        // full-frontier filter per PE; PEs whose slice is empty
-        // contribute the shared visited bitmap verbatim, skipping the
-        // scratch copy entirely.
-        let kernels = par_pes_with(
-            sys.pes_mut(),
-            cfg.threads,
-            || vec![0u8; bitmap_bytes],
-            |local, pid, pe| {
-                // simlint: hot(begin, bfs expand)
-                let lo = (pid * per_pe) as u32;
-                let hi = (((pid + 1) * per_pe).min(n)) as u32;
-                let begin = frontier.partition_point(|&v| v < lo);
-                let end = frontier.partition_point(|&v| v < hi);
-                if begin == end {
-                    pe.write(bitmap_src, &visited);
-                    return KERNEL_SCALE * pe_kernel_ns(bitmap_bytes as u64, 0);
-                }
-                local.copy_from_slice(&visited);
-                let mut edges = 0u64;
-                for &v in &frontier[begin..end] {
-                    for &t in graph.neighbors(v) {
-                        set_bit(local, t as usize);
-                        edges += 1;
-                    }
-                }
-                pe.write(bitmap_src, local);
-                // Random per-edge accesses pay small-DMA granularity (~64 B).
-                KERNEL_SCALE * pe_kernel_ns(48 * edges + bitmap_bytes as u64, 10 * edges)
-                // simlint: hot(end)
-            },
-        );
-        let max_kernel = kernels.into_iter().fold(0.0f64, f64::max);
-        sys.run_kernel(max_kernel);
-        profile.record_kernel(max_kernel + sys.model().kernel_launch_ns);
-
-        // Merge bitmaps globally: AllReduce with bitwise OR (u8 elements,
-        // which skips domain transfer entirely, §V-C) — the warm
-        // per-level plan.
-        let report = merge_plan.execute(&mut sys)?;
-        profile.record(&report);
-
-        // Read the merged bitmap back (identical on every PE).
-        sys.pe_mut(geom.pes().next().unwrap())
-            .read_into(bitmap_dst, &mut merged);
-
-        // New frontier = newly set bits, scanned 64 at a time (the padding
-        // beyond `n` is never set, so whole words are safe).
-        let mut next = Vec::new();
-        kernels::for_each_new_bit(&merged, &visited, |v| {
-            if v < n {
-                dist[v] = level;
-                next.push(v as u32);
-            }
-        });
-        core::mem::swap(&mut visited, &mut merged);
-        frontier = next;
-    }
-
-    // Gather distances of owned ranges (u32 lanes encoded straight from
-    // the contiguous dist sub-range, staged in per-worker scratch).
-    let dist_bytes = (per_pe * 4).next_multiple_of(8);
-    let dist_off = bitmap_dst + bitmap_bytes.next_multiple_of(64);
-    par_pes_with(
-        sys.pes_mut(),
-        cfg.threads,
-        || vec![0u8; dist_bytes],
-        |bytes, pid, pe| {
-            // simlint: hot(begin, bfs distance encode)
-            // A trailing PE's range can be empty (lo clamps to n).
-            let lo = (pid * per_pe).min(n);
-            let hi = ((pid + 1) * per_pe).min(n);
-            bytes.fill(0xFF);
-            kernels::encode_u32(&dist[lo..hi], &mut bytes[..(hi - lo) * 4]);
-            pe.write(dist_off, bytes);
-            // simlint: hot(end)
-        },
-    );
-    let gather_plan = comm.plan_cached(
-        &mut plans,
-        Primitive::Gather,
-        &mask,
-        &BufferSpec::new(dist_off, 0, dist_bytes).with_dtype(DType::U32),
-        ReduceKind::Sum,
-    )?;
-    let (report, gathered) = gather_plan.execute_to_host(&mut sys)?;
-    profile.record(&report);
-
-    // Reassemble and validate against the CPU reference.
-    let mut got = vec![u32::MAX; n];
-    for pe in 0..p {
-        let lo = (pe * per_pe).min(n);
-        let hi = ((pe + 1) * per_pe).min(n);
-        let chunk = &gathered[0][pe * dist_bytes..(pe + 1) * dist_bytes];
-        kernels::decode_u32(&chunk[..(hi - lo) * 4], &mut got[lo..hi]);
-    }
-    let (expected, cpu_ns) = cpu_reference(graph, source);
-    let validated = got == expected;
-    assert!(validated, "BFS PIM distances diverge from CPU reference");
-    arena.recycle(sys);
-    arena.put_extension(plans);
-
-    Ok(AppRun {
-        profile,
-        cpu_ns,
-        validated,
-    })
+    run_bfs_resilient_in(cfg, graph, source, None, RunPolicy::default(), arena).map(|r| r.run)
 }
 
-/// As [`run_bfs`], but under run-level supervision (see
+/// As [`run_bfs`], but under a fault plan and run-level supervision (see
 /// [`Supervisor`]): collectives run verified with quarantine-aware
 /// recovery, each frontier level commits through an iteration boundary,
-/// and unrecoverable faults end the run with a typed outcome instead of a
-/// panic. With `fault = None` the profile and outputs are bit-identical
-/// to [`run_bfs`].
+/// and unrecoverable faults end the run with a typed
+/// [`pidcomm::RunOutcome`], never a fault error. With `fault = None`
+/// nothing is verified and the run is [`run_bfs`]'s.
 ///
 /// BFS carries no live MRAM state across levels — every level restages
 /// the visited bitmap from the host mirror and the adjacency partitions
@@ -332,9 +125,8 @@ pub fn run_bfs_in(
 ///
 /// # Errors
 ///
-/// Propagates collective validation errors (never typed fault errors —
-/// those are consumed by the supervisor).
-#[allow(clippy::needless_range_loop)] // vertex ids drive bit positions
+/// As [`run_bfs`] (never typed fault errors — those are consumed by the
+/// supervisor).
 pub fn run_bfs_resilient(
     cfg: &BfsConfig,
     graph: &CsrGraph,
@@ -345,7 +137,8 @@ pub fn run_bfs_resilient(
     run_bfs_resilient_in(cfg, graph, source, fault, policy, &mut SystemArena::new())
 }
 
-/// As [`run_bfs_resilient`], sourcing allocations from `arena`.
+/// As [`run_bfs_resilient`], sourcing allocations from `arena`. The one
+/// BFS runner: every other entry point wraps it.
 ///
 /// # Errors
 ///
@@ -377,8 +170,11 @@ pub fn run_bfs_resilient_in(
     let mut sup = Supervisor::new(p, policy);
 
     let per_pe = n.div_ceil(p);
+    // Visited bitmap, padded to the AllReduce alignment (8 x P bytes).
     let bitmap_bytes = n.div_ceil(8).next_multiple_of(8 * p);
 
+    // Adjacency partitions: PE p gets the CSR rows of its owned vertex
+    // range, padded to a uniform size.
     let slice_bytes = {
         let max_bytes = (0..p)
             .map(|pe| {
@@ -407,7 +203,7 @@ pub fn run_bfs_resilient_in(
             }
         }
     });
-    let adj_host_in = [adj_host];
+    let adj_host = [adj_host];
 
     let bitmap_src = slice_bytes.next_multiple_of(64);
     let bitmap_dst = bitmap_src + bitmap_bytes.next_multiple_of(64);
@@ -421,6 +217,9 @@ pub fn run_bfs_resilient_in(
         &BufferSpec::new(0, 0, slice_bytes).with_dtype(DType::U32),
         ReduceKind::Sum,
     )?;
+    // The per-level merge plan, built once for the whole traversal (and
+    // pooled across runs): BFS issues the identical AllReduce(Or) every
+    // level.
     let merge_plan = comm.plan_cached(
         &mut plans,
         Primitive::AllReduce,
@@ -450,12 +249,16 @@ pub fn run_bfs_resilient_in(
     let mut result: Option<Vec<u32>> = None;
     'run: {
         // Setup: the adjacency scatter restages everything from the host
-        // buffer, so a re-run needs no checkpointed MRAM state.
-        match sup.iteration(&mut sys, arena, &[], |sys, at| {
+        // buffer, so a re-run needs no checkpointed MRAM state. The
+        // buffer is dead once the setup commits.
+        let setup = sup.iteration(&mut sys, arena, &[], |sys, at| {
             Ok(at
-                .collective(&comm, sys, &scatter_plan, Some(&adj_host_in))?
+                .collective(&comm, sys, &scatter_plan, Some(&adj_host))?
                 .report)
-        })? {
+        });
+        let [adj_host] = adj_host;
+        arena.recycle_bytes(adj_host);
+        match setup? {
             Iteration::Done(report) => profile.record(&report),
             Iteration::Abort(_) => break 'run,
         }
@@ -468,6 +271,13 @@ pub fn run_bfs_resilient_in(
             // committed host mirrors, so the checkpoint is empty; a re-run
             // replays the level exactly.
             match sup.iteration(&mut sys, arena, &[], |sys, at| {
+                // PE kernel: each PE expands its owned frontier vertices
+                // into a local copy of the bitmap — a per-*worker* scratch
+                // buffer each item overwrites wholesale. The frontier is
+                // sorted (it comes out of the word-ordered new-bit scan),
+                // so each PE's owned vertices are one contiguous slice
+                // found by binary search; PEs whose slice is empty
+                // contribute the shared visited bitmap verbatim.
                 let kernels = par_pes_with(
                     sys.pes_mut(),
                     cfg.threads,
@@ -491,12 +301,16 @@ pub fn run_bfs_resilient_in(
                             }
                         }
                         pe.write(bitmap_src, local);
+                        // Random per-edge accesses pay small-DMA
+                        // granularity (~64 B).
                         KERNEL_SCALE * pe_kernel_ns(48 * edges + bitmap_bytes as u64, 10 * edges)
                         // simlint: hot(end)
                     },
                 );
                 let max_kernel = kernels.into_iter().fold(0.0f64, f64::max);
                 sys.run_kernel(max_kernel);
+                // Merge bitmaps globally: AllReduce with bitwise OR (u8
+                // elements, which skips domain transfer entirely, §V-C).
                 let report = at.collective(&comm, sys, &merge_plan, None)?.report;
                 // Read the merged bitmap back from the first healthy PE
                 // (identical on every PE; a degraded execution skips
@@ -516,7 +330,10 @@ pub fn run_bfs_resilient_in(
                 Iteration::Abort(_) => break 'run,
             }
 
-            // Commit: fold the merged bitmap into the host mirrors.
+            // Commit: fold the merged bitmap into the host mirrors. The
+            // new frontier is the newly set bits, scanned 64 at a time
+            // (the padding beyond `n` is never set, so whole words are
+            // safe).
             level += 1;
             let mut next = Vec::new();
             kernels::for_each_new_bit(&merged, &visited, |v| {
@@ -538,6 +355,7 @@ pub fn run_bfs_resilient_in(
                 || vec![0u8; dist_bytes],
                 |bytes, pid, pe| {
                     // simlint: hot(begin, bfs distance encode)
+                    // A trailing PE's range can be empty (lo clamps to n).
                     let lo = (pid * per_pe).min(n);
                     let hi = ((pid + 1) * per_pe).min(n);
                     bytes.fill(0xFF);
@@ -566,8 +384,6 @@ pub fn run_bfs_resilient_in(
             Iteration::Abort(_) => {}
         }
     }
-    let [adj_host] = adj_host_in;
-    arena.recycle_bytes(adj_host);
 
     let (expected, cpu_ns) = cpu_reference(graph, source);
     let (mismatched, validated) = match &result {

@@ -12,8 +12,8 @@
 //! only change when the vertex or one of its neighbors changed label in
 //! the previous merge, so each iteration recomputes only the dirty
 //! vertices — provably bit-identical to the full scan (see
-//! [`run_cc_in`]), while the modeled kernel charge stays the full-scan
-//! edge count the device would pay.
+//! [`run_cc_resilient_in`]), while the modeled kernel charge stays the
+//! full-scan edge count the device would pay.
 
 use std::sync::Arc;
 
@@ -46,10 +46,11 @@ pub struct CcConfig {
 /// CPU reference: min-label propagation to a fixed point. Returns final
 /// labels (the minimum vertex id of each component) and a roofline time.
 ///
-/// Runs frontier-sparse like the PIM kernel (see [`run_cc_in`] for the
-/// proof that skipping clean vertices is bit-identical), but the roofline
-/// charges the full per-pass edge scan the dense reference performed —
-/// the label sequence, pass count and modeled time are unchanged.
+/// Runs frontier-sparse like the PIM kernel (see [`run_cc_resilient_in`]
+/// for the proof that skipping clean vertices is bit-identical), but the
+/// roofline charges the full per-pass edge scan the dense reference
+/// performed — the label sequence, pass count and modeled time are
+/// unchanged.
 fn cpu_reference(graph: &CsrGraph) -> (Vec<u32>, f64) {
     let cpu = CpuModel::xeon_5215();
     let n = graph.num_vertices();
@@ -113,10 +114,6 @@ pub fn component_count(labels: &[u32]) -> usize {
 /// # Errors
 ///
 /// Propagates collective validation errors.
-///
-/// # Panics
-///
-/// Panics if validation fails.
 pub fn run_cc(cfg: &CcConfig, graph: &CsrGraph) -> pidcomm::Result<AppRun> {
     run_cc_in(cfg, graph, &mut SystemArena::new())
 }
@@ -124,7 +121,47 @@ pub fn run_cc(cfg: &CcConfig, graph: &CsrGraph) -> pidcomm::Result<AppRun> {
 /// As [`run_cc`], but sourcing the `PimSystem`, staging buffers and
 /// collective plans from `arena` (and returning them to it), so repeated
 /// runs — e.g. consecutive sweep cells on one worker — reuse allocations
-/// *and* plans. Results are byte-identical to [`run_cc`].
+/// *and* plans. This is [`run_cc_resilient_in`] with no fault plan and
+/// the default policy.
+///
+/// # Errors
+///
+/// As [`run_cc`].
+pub fn run_cc_in(
+    cfg: &CcConfig,
+    graph: &CsrGraph,
+    arena: &mut SystemArena,
+) -> pidcomm::Result<AppRun> {
+    run_cc_resilient_in(cfg, graph, None, RunPolicy::default(), arena).map(|r| r.run)
+}
+
+/// As [`run_cc`], but under a fault plan and run-level supervision (see
+/// [`Supervisor`]): collectives run verified with quarantine-aware
+/// recovery, each label-propagation pass commits through an iteration
+/// boundary, and unrecoverable faults end the run with a typed
+/// [`pidcomm::RunOutcome`], never a fault error. With `fault = None`
+/// nothing is verified and the run is [`run_cc`]'s.
+///
+/// Like BFS, CC carries no live MRAM state across passes — every pass
+/// re-encodes the label array from the committed host mirror — so
+/// iteration checkpoints are empty and a re-run replays the pass from
+/// committed host state.
+///
+/// # Errors
+///
+/// As [`run_cc`] (never typed fault errors — those are consumed by the
+/// supervisor).
+pub fn run_cc_resilient(
+    cfg: &CcConfig,
+    graph: &CsrGraph,
+    fault: Option<Arc<FaultPlan>>,
+    policy: RunPolicy,
+) -> pidcomm::Result<ResilientRun> {
+    run_cc_resilient_in(cfg, graph, fault, policy, &mut SystemArena::new())
+}
+
+/// As [`run_cc_resilient`], sourcing allocations from `arena`. The one
+/// CC runner: every other entry point wraps it.
 ///
 /// # Frontier-sparse expansion
 ///
@@ -139,214 +176,6 @@ pub fn run_cc(cfg: &CcConfig, graph: &CsrGraph) -> pidcomm::Result<AppRun> {
 /// the full scan. The modeled kernel charge stays the full owned-edge
 /// count: the device kernel would still stream every owned adjacency
 /// list, and that count is constant per PE across iterations.
-///
-/// # Errors
-///
-/// Propagates collective validation errors.
-pub fn run_cc_in(
-    cfg: &CcConfig,
-    graph: &CsrGraph,
-    arena: &mut SystemArena,
-) -> pidcomm::Result<AppRun> {
-    let graph = graph.to_undirected();
-    let p = cfg.pes;
-    let n = graph.num_vertices();
-    let geom = DimmGeometry::with_pes(p);
-    let mut sys = arena.system(geom);
-    let mut plans = arena.take_extension::<PlanCache>();
-    let manager = HypercubeManager::new(HypercubeShape::linear(p)?, geom)?;
-    let comm = Communicator::new(manager)
-        .with_opt(cfg.opt)
-        .with_threads(cfg.threads);
-    let mask = DimMask::all(comm.manager().shape());
-    let mut profile = AppProfile::new("CC", format!("{n}v"));
-
-    let per_pe = n.div_ceil(p);
-    // Label array (u32 per vertex) padded to AllReduce alignment; the pad
-    // is filled with u32::MAX, the Min identity.
-    let label_bytes = (n * 4).next_multiple_of(8 * p);
-
-    // Scatter adjacency (same layout as BFS).
-    let slice_bytes = {
-        let max_bytes = (0..p)
-            .map(|pe| {
-                let lo = pe * per_pe;
-                let hi = ((pe + 1) * per_pe).min(n);
-                (lo..hi)
-                    .map(|v| 4 + 4 * graph.degree(v as u32))
-                    .sum::<usize>()
-            })
-            .max()
-            .unwrap_or(0);
-        max_bytes.next_multiple_of(8).max(8)
-    };
-    let adj_host = arena.bytes(p * slice_bytes);
-    let scatter_plan = comm.plan_cached(
-        &mut plans,
-        Primitive::Scatter,
-        &mask,
-        &BufferSpec::new(0, 0, slice_bytes).with_dtype(DType::U32),
-        ReduceKind::Sum,
-    )?;
-    // One-shot send: direct execution beats staging a prepared image
-    // that would run only once (the prepared tier pays off on repeat
-    // executes; CC's per-iteration win is the label staging elimination
-    // below).
-    let report = scatter_plan.execute_with_host(&mut sys, core::slice::from_ref(&adj_host))?;
-    profile.record(&report);
-    arena.recycle_bytes(adj_host);
-
-    let src_off = slice_bytes.next_multiple_of(64);
-    let dst_off = src_off + label_bytes.next_multiple_of(64);
-
-    // The per-iteration merge plan, built once for the whole fixed-point
-    // loop (and pooled across runs): CC issues the identical AllReduce
-    // every level, so planning per call was pure per-iteration overhead.
-    let merge_plan = comm.plan_cached(
-        &mut plans,
-        Primitive::AllReduce,
-        &mask,
-        &BufferSpec::new(src_off, dst_off, label_bytes).with_dtype(DType::U32),
-        ReduceKind::Min,
-    )?;
-
-    let mut labels: Vec<u32> = (0..n as u32).collect();
-    let mut merged = vec![0u32; n];
-    // The label array every PE's local copy starts from, encoded once per
-    // iteration (pad = u32::MAX, the Min identity) instead of re-encoded
-    // per PE.
-    let mut proto = vec![0u8; label_bytes];
-    // The modeled per-PE expansion charge streams every owned adjacency
-    // list — a constant across iterations, precomputed once.
-    let owned_edges: Vec<u64> = (0..p)
-        .map(|pid| {
-            let lo = pid * per_pe;
-            let hi = ((pid + 1) * per_pe).min(n);
-            (lo..hi).map(|v| graph.degree(v as u32) as u64).sum()
-        })
-        .collect();
-    // Dirty set for the frontier-sparse expansion (see the doc comment);
-    // iteration 1 recomputes everything.
-    let mut dirty = vec![true; n];
-    let mut iterations = 0usize;
-
-    loop {
-        iterations += 1;
-
-        proto.fill(0xFF);
-        kernels::encode_u32(&labels, &mut proto[..n * 4]);
-
-        // PE kernel: the shared prototype lands in MRAM directly from the
-        // host mirror, then each PE lowers only its owned *dirty*
-        // vertices' labels in place — the per-worker staging copy of the
-        // whole array is gone (clean vertices keep their prototype value,
-        // which the full scan would reproduce). One host-kernel work item
-        // per PE; labels and the dirty set are shared read-only.
-        let kernels = par_pes(sys.pes_mut(), cfg.threads, |pid, pe| {
-            // simlint: hot(begin, cc label lowering)
-            let lo = pid * per_pe;
-            let hi = ((pid + 1) * per_pe).min(n);
-            pe.write(src_off, &proto);
-            for v in lo..hi {
-                if !dirty[v] {
-                    continue;
-                }
-                let mut m = labels[v];
-                for &t in graph.neighbors(v as u32) {
-                    m = m.min(labels[t as usize]);
-                }
-                pe.write(src_off + v * 4, &m.to_le_bytes());
-            }
-            // Random per-edge accesses pay small-DMA granularity
-            // (~64 B); the device streams all owned adjacency lists.
-            let edges = owned_edges[pid];
-            KERNEL_SCALE * pe_kernel_ns(48 * edges + label_bytes as u64, 10 * edges)
-            // simlint: hot(end)
-        });
-        let max_kernel = kernels.into_iter().fold(0.0f64, f64::max);
-        sys.run_kernel(max_kernel);
-        profile.record_kernel(max_kernel + sys.model().kernel_launch_ns);
-
-        // Merge with AllReduce(Min) — the warm per-iteration plan.
-        let report = merge_plan.execute(&mut sys)?;
-        profile.record(&report);
-
-        sys.pe_mut(geom.pes().next().unwrap())
-            .read_u32s(dst_off, &mut merged);
-
-        // Changed vertices and their neighborhoods form the next dirty
-        // set; a fixed point leaves it empty and ends the loop.
-        let mut changed = false;
-        dirty.fill(false);
-        for v in 0..n {
-            if merged[v] != labels[v] {
-                changed = true;
-                dirty[v] = true;
-                for &t in graph.neighbors(v as u32) {
-                    dirty[t as usize] = true;
-                }
-            }
-        }
-        labels.copy_from_slice(&merged);
-        if !changed {
-            break;
-        }
-    }
-
-    // Retrieve final labels with a Reduce(Min) — every PE holds the global
-    // array, the host takes the reduction (a no-op numerically).
-    let reduce_plan = comm.plan_cached(
-        &mut plans,
-        Primitive::Reduce,
-        &mask,
-        &BufferSpec::new(dst_off, 0, label_bytes).with_dtype(DType::U32),
-        ReduceKind::Min,
-    )?;
-    let (report, reduced) = reduce_plan.execute_to_host(&mut sys)?;
-    profile.record(&report);
-    let mut final_labels = vec![0u32; n];
-    kernels::decode_u32(&reduced[0][..n * 4], &mut final_labels);
-
-    let (expected, cpu_ns) = cpu_reference(&graph);
-    let validated = final_labels == expected;
-    assert!(validated, "CC PIM labels diverge from CPU reference");
-    profile.dataset = format!("{n}v/{}it", iterations);
-    arena.recycle(sys);
-    arena.put_extension(plans);
-
-    Ok(AppRun {
-        profile,
-        cpu_ns,
-        validated,
-    })
-}
-
-/// As [`run_cc`], but under run-level supervision (see
-/// [`Supervisor`]): collectives run verified with quarantine-aware
-/// recovery, each label-propagation pass commits through an iteration
-/// boundary, and unrecoverable faults end the run with a typed outcome
-/// instead of a panic. With `fault = None` the profile and outputs are
-/// bit-identical to [`run_cc`].
-///
-/// Like BFS, CC carries no live MRAM state across passes — every pass
-/// re-encodes the label array from the committed host mirror — so
-/// iteration checkpoints are empty and a re-run replays the pass from
-/// committed host state.
-///
-/// # Errors
-///
-/// Propagates collective validation errors (never typed fault errors —
-/// those are consumed by the supervisor).
-pub fn run_cc_resilient(
-    cfg: &CcConfig,
-    graph: &CsrGraph,
-    fault: Option<Arc<FaultPlan>>,
-    policy: RunPolicy,
-) -> pidcomm::Result<ResilientRun> {
-    run_cc_resilient_in(cfg, graph, fault, policy, &mut SystemArena::new())
-}
-
-/// As [`run_cc_resilient`], sourcing allocations from `arena`.
 ///
 /// # Errors
 ///
@@ -377,8 +206,11 @@ pub fn run_cc_resilient_in(
     let mut sup = Supervisor::new(p, policy);
 
     let per_pe = n.div_ceil(p);
+    // Label array (u32 per vertex) padded to AllReduce alignment; the pad
+    // is filled with u32::MAX, the Min identity.
     let label_bytes = (n * 4).next_multiple_of(8 * p);
 
+    // Adjacency partitions (same layout as BFS).
     let slice_bytes = {
         let max_bytes = (0..p)
             .map(|pe| {
@@ -404,6 +236,9 @@ pub fn run_cc_resilient_in(
         &BufferSpec::new(0, 0, slice_bytes).with_dtype(DType::U32),
         ReduceKind::Sum,
     )?;
+    // The per-iteration merge plan, built once for the whole fixed-point
+    // loop (and pooled across runs): CC issues the identical AllReduce
+    // every level.
     let merge_plan = comm.plan_cached(
         &mut plans,
         Primitive::AllReduce,
@@ -421,7 +256,12 @@ pub fn run_cc_resilient_in(
 
     let mut labels: Vec<u32> = (0..n as u32).collect();
     let mut merged = vec![0u32; n];
+    // The label array every PE's local copy starts from, encoded once per
+    // iteration (pad = u32::MAX, the Min identity) instead of re-encoded
+    // per PE.
     let mut proto = vec![0u8; label_bytes];
+    // The modeled per-PE expansion charge streams every owned adjacency
+    // list — a constant across iterations, precomputed once.
     let owned_edges: Vec<u64> = (0..p)
         .map(|pid| {
             let lo = pid * per_pe;
@@ -429,16 +269,24 @@ pub fn run_cc_resilient_in(
             (lo..hi).map(|v| graph.degree(v as u32) as u64).sum()
         })
         .collect();
+    // Dirty set for the frontier-sparse expansion (see the doc comment);
+    // iteration 1 recomputes everything.
     let mut dirty = vec![true; n];
     let mut iterations = 0usize;
 
     let mut result: Option<Vec<u32>> = None;
     'run: {
-        match sup.iteration(&mut sys, arena, &[], |sys, at| {
+        // Setup: the adjacency scatter restages from the host buffer, so
+        // a re-run needs no checkpointed MRAM state. The buffer is dead
+        // once the setup commits.
+        let setup = sup.iteration(&mut sys, arena, &[], |sys, at| {
             Ok(at
                 .collective(&comm, sys, &scatter_plan, Some(&adj_host))?
                 .report)
-        })? {
+        });
+        let [adj_host] = adj_host;
+        arena.recycle_bytes(adj_host);
+        match setup? {
             Iteration::Done(report) => profile.record(&report),
             Iteration::Abort(_) => break 'run,
         }
@@ -456,6 +304,12 @@ pub fn run_cc_resilient_in(
             // committed host mirrors, so the checkpoint is empty; a
             // re-run replays the pass exactly.
             match sup.iteration(&mut sys, arena, &[], |sys, at| {
+                // PE kernel: the shared prototype lands in MRAM directly
+                // from the host mirror, then each PE lowers only its owned
+                // *dirty* vertices' labels in place (clean vertices keep
+                // their prototype value, which the full scan would
+                // reproduce). Labels and the dirty set are shared
+                // read-only.
                 let kernels = par_pes(sys.pes_mut(), cfg.threads, |pid, pe| {
                     // simlint: hot(begin, cc label lowering)
                     let lo = pid * per_pe;
@@ -471,6 +325,9 @@ pub fn run_cc_resilient_in(
                         }
                         pe.write(src_off + v * 4, &m.to_le_bytes());
                     }
+                    // Random per-edge accesses pay small-DMA granularity
+                    // (~64 B); the device streams all owned adjacency
+                    // lists.
                     let edges = owned_edges[pid];
                     KERNEL_SCALE * pe_kernel_ns(48 * edges + label_bytes as u64, 10 * edges)
                     // simlint: hot(end)
@@ -497,6 +354,8 @@ pub fn run_cc_resilient_in(
             }
 
             // Commit: fold the merged labels into the host mirrors.
+            // Changed vertices and their neighborhoods form the next dirty
+            // set; a fixed point leaves it empty and ends the loop.
             let mut changed = false;
             dirty.fill(false);
             for v in 0..n {
@@ -514,9 +373,11 @@ pub fn run_cc_resilient_in(
             }
         }
 
-        // Final Reduce(Min): reads the merged array left by the last pass
-        // (reads cannot be corrupted, and the body writes nothing to the
-        // checkpointed regions), so the checkpoint stays empty.
+        // Final labels via Reduce(Min) — every PE holds the global array,
+        // the host takes the reduction (a no-op numerically). It reads
+        // the merged array left by the last pass (reads cannot be
+        // corrupted, and the body writes nothing), so the checkpoint
+        // stays empty.
         match sup.iteration(&mut sys, arena, &[], |sys, at| {
             let exec = at.collective(&comm, sys, &reduce_plan, None)?;
             Ok((
@@ -533,8 +394,6 @@ pub fn run_cc_resilient_in(
             Iteration::Abort(_) => {}
         }
     }
-    let [adj_host] = adj_host;
-    arena.recycle_bytes(adj_host);
 
     let (expected, cpu_ns) = cpu_reference(&graph);
     let (mismatched, validated) = match &result {

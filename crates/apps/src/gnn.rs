@@ -19,15 +19,15 @@
 use std::sync::Arc;
 
 use pidcomm::{
-    par_pes, par_pes_with, BufferSpec, Communicator, DimMask, HypercubeManager, HypercubeShape,
-    Iteration, OptLevel, PlanCache, Primitive, RunPolicy, Supervisor,
+    par_pes, par_pes_with, BufferSpec, Communicator, DimMask, Error, HypercubeManager,
+    HypercubeShape, Iteration, OptLevel, PlanCache, Primitive, RunPolicy, Supervisor,
 };
 use pidcomm_data::{CsrGraph, MatI32};
 use pim_sim::{kernels, DType, DimmGeometry, FaultPlan, ReduceKind, SystemArena};
 
 use crate::cost::{pe_kernel_ns, CpuModel};
 use crate::profile::AppProfile;
-use crate::{AppRun, ResilientRun};
+use crate::{ensure, AppRun, ResilientRun};
 
 /// GNN communication strategy (Table III lists both).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -105,10 +105,12 @@ fn mat_from_bytes(rows: usize, cols: usize, bytes: &[u8], dtype: DType) -> MatI3
 /// (Fig. 13); see EXPERIMENTS.md.
 const KERNEL_SCALE: f64 = 6.0;
 
-fn isqrt(p: usize) -> usize {
+fn isqrt(p: usize) -> pidcomm::Result<usize> {
     let s = (p as f64).sqrt().round() as usize;
-    assert_eq!(s * s, p, "GNN needs a square PE count, got {p}");
-    s
+    ensure(p > 0 && s * s == p, || {
+        Error::InvalidShape(format!("GNN needs a square PE count, got {p}"))
+    })?;
+    Ok(s)
 }
 
 fn relu(v: i32) -> i32 {
@@ -185,40 +187,93 @@ fn tiles(graph: &CsrGraph, s: usize) -> Vec<Vec<Vec<(u32, u32)>>> {
 ///
 /// # Errors
 ///
-/// Propagates collective validation errors.
-///
-/// # Panics
-///
-/// Panics if shape constraints are violated or validation fails.
+/// [`Error::InvalidShape`] if `layers` is 0, `pes` is not a square
+/// `s × s`, the vertex count does not divide by `s²` or `feature_dim` by
+/// `s`; [`Error::InvalidBuffer`] if a feature block breaks the
+/// collectives' `8 × s` alignment; plus collective validation errors.
 pub fn run_gnn(cfg: &GnnConfig, graph: &CsrGraph) -> pidcomm::Result<AppRun> {
     run_gnn_in(cfg, graph, &mut SystemArena::new())
 }
 
 /// As [`run_gnn`], but sourcing the `PimSystem` from `arena` (and
 /// returning it), so repeated runs — e.g. consecutive sweep cells on one
-/// worker — reuse allocations. Results are byte-identical to [`run_gnn`].
+/// worker — reuse allocations. This is [`run_gnn_resilient_in`] with no
+/// fault plan and the default policy.
 ///
 /// # Errors
 ///
-/// Propagates collective validation errors.
+/// As [`run_gnn`].
 pub fn run_gnn_in(
     cfg: &GnnConfig,
     graph: &CsrGraph,
     arena: &mut SystemArena,
 ) -> pidcomm::Result<AppRun> {
+    run_gnn_resilient_in(cfg, graph, None, RunPolicy::default(), arena).map(|r| r.run)
+}
+
+/// As [`run_gnn`], but under a fault plan and run-level supervision (see
+/// [`Supervisor`]): collectives run verified with quarantine-aware
+/// recovery, each layer commits through an iteration checkpoint of the
+/// live feature block, and unrecoverable faults end the run with a typed
+/// [`pidcomm::RunOutcome`], never a fault error. With `fault = None`
+/// nothing is verified or checkpointed and the run is [`run_gnn`]'s.
+///
+/// # Errors
+///
+/// As [`run_gnn`] (never typed fault errors — those are consumed by the
+/// supervisor).
+pub fn run_gnn_resilient(
+    cfg: &GnnConfig,
+    graph: &CsrGraph,
+    fault: Option<Arc<FaultPlan>>,
+    policy: RunPolicy,
+) -> pidcomm::Result<ResilientRun> {
+    run_gnn_resilient_in(cfg, graph, fault, policy, &mut SystemArena::new())
+}
+
+/// As [`run_gnn_resilient`], sourcing allocations from `arena`. The one
+/// GNN runner: every other entry point wraps it.
+///
+/// # Errors
+///
+/// As [`run_gnn_resilient`].
+pub fn run_gnn_resilient_in(
+    cfg: &GnnConfig,
+    graph: &CsrGraph,
+    fault: Option<Arc<FaultPlan>>,
+    policy: RunPolicy,
+    arena: &mut SystemArena,
+) -> pidcomm::Result<ResilientRun> {
     let p = cfg.pes;
-    let s = isqrt(p);
+    let s = isqrt(p)?;
     let f = cfg.feature_dim;
     let n = graph.num_vertices();
-    assert_eq!(n % (s * s), 0, "vertices must divide by s^2");
-    assert_eq!(f % s, 0, "feature dim must divide by s");
+    // The final gather reads the layout the last layer's collective
+    // leaves (every group member holding its group's row-block).
+    ensure(cfg.layers > 0, || {
+        Error::InvalidShape("GNN needs at least one layer".into())
+    })?;
+    ensure(n.is_multiple_of(s * s) && f.is_multiple_of(s), || {
+        Error::InvalidShape(format!(
+            "GNN on {s}x{s} PEs needs vertices ({n}) divisible by {} and feature dim ({f}) by {s}",
+            s * s
+        ))
+    })?;
     let bs = n / s; // vertices per block
     let es = esize(cfg.dtype);
     let block_bytes = bs * f * es;
-    assert_eq!(block_bytes % (8 * s), 0, "collective alignment");
+    ensure(block_bytes.is_multiple_of(8 * s), || {
+        Error::InvalidBuffer(format!(
+            "GNN feature block of {block_bytes} bytes breaks the collectives' 8 x {s} alignment"
+        ))
+    })?;
 
     let geom = DimmGeometry::with_pes(p);
     let mut sys = arena.system(geom);
+    if let Some(fp) = &fault {
+        sys.attach_fault_plan(fp.clone());
+        sys.set_verify_writes(true);
+    }
     let mut plans = arena.take_extension::<PlanCache>();
     let manager = HypercubeManager::new(HypercubeShape::new(vec![s, s])?, geom)?;
     let comm = Communicator::new(manager)
@@ -228,6 +283,7 @@ pub fn run_gnn_in(
         format!("GNN {}", cfg.variant.label()),
         format!("{n}v/int{}", 8 * es),
     );
+    let mut sup = Supervisor::new(p, policy);
 
     let tile = tiles(graph, s);
     let weights: Vec<MatI32> = (0..cfg.layers)
@@ -241,8 +297,8 @@ pub fn run_gnn_in(
     let reduced_off = partial_off + block_bytes.next_multiple_of(64);
     let out_off = reduced_off + block_bytes.next_multiple_of(64);
 
-    // Scatter initial feature blocks: at layer 0 the active mask is "10"
-    // (x varies within a group), so PE (x, y) must hold block x. The
+    // Initial feature blocks: at layer 0 the active mask is "10" (x
+    // varies within a group), so PE (x, y) must hold block x. The
     // per-group payloads come from (and return to) the arena's buffer-set
     // pool; feature rows are encoded straight into their rank-major slot.
     let mask0: DimMask = "10".parse()?;
@@ -269,393 +325,18 @@ pub fn run_gnn_in(
         &BufferSpec::new(0, FEAT, block_bytes).with_dtype(cfg.dtype),
         ReduceKind::Sum,
     )?;
-    // One-shot send: direct execution beats staging a prepared image
-    // that would run only once (the prepared tier pays off on repeat
-    // executes; GNN's per-layer win is the fused pairs below).
-    let report = scatter_plan.execute_with_host(&mut sys, &scatter_bufs)?;
-    profile.record(&report);
-    arena.recycle_byte_set(scatter_bufs);
-
-    // Layers with alternating masks.
-    for (layer, w) in weights.iter().enumerate() {
-        let mask: DimMask = if layer % 2 == 0 {
-            "10".parse()?
-        } else {
-            "01".parse()?
-        };
-        let groups = comm.manager().groups(&mask)?;
-        // Host-kernel work items run one per PE; recover each PE's
-        // (group, rank) coordinates up front since groups partition the
-        // PE array exactly.
-        let mut owner = vec![(0usize, 0usize); p];
-        for g in &groups {
-            for (rank, &pe) in g.members.iter().enumerate() {
-                owner[pe.index()] = (g.id, rank);
-            }
-        }
-
-        // Aggregation kernel: within its group, PE of rank r computes
-        // A[i_group][r] · F_r, a partial of row-block i_group. Per-edge
-        // row accumulation runs as a typed-lane segment-sum over the
-        // feature block decoded into per-worker scratch.
-        let kernels = par_pes_with(
-            sys.pes_mut(),
-            cfg.threads,
-            || (vec![0i32; bs * f], vec![0i32; bs * f]),
-            |(fblk, partial), pid, pe| {
-                // simlint: hot(begin, gnn aggregation)
-                let (gid, rank) = owner[pid];
-                pe.read_sext(FEAT, cfg.dtype, fblk);
-                partial.fill(0);
-                let t = &tile[gid][rank];
-                for &(u, v) in t {
-                    let (u, v) = (u as usize, v as usize);
-                    kernels::add_wrap(
-                        cfg.dtype,
-                        &mut partial[u * f..(u + 1) * f],
-                        &fblk[v * f..(v + 1) * f],
-                    );
-                }
-                pe.write_trunc(partial_off, cfg.dtype, partial);
-                let edges = t.len() as u64;
-                KERNEL_SCALE
-                    * pe_kernel_ns(
-                        edges * (f * es) as u64 + block_bytes as u64,
-                        4 * edges * f as u64,
-                    )
-                // simlint: hot(end)
-            },
-        );
-        let max_kernel = kernels.into_iter().fold(0.0f64, f64::max);
-        sys.run_kernel(max_kernel);
-        profile.record_kernel(max_kernel + sys.model().kernel_launch_ns);
-
-        match cfg.variant {
-            GnnVariant::RsAr => {
-                // ReduceScatter + AllReduce run as one fused chain:
-                // rank r's reduced rows sub-block lands in MRAM, the
-                // combination kernel rewrites it in place as the
-                // inter-step hook, and the AllReduce consumes the result
-                // directly — no host staging between the pair. Layers
-                // alternate between two masks, so every plan below is
-                // built at most twice per run (and pooled across runs in
-                // the arena cache).
-                let rs_plan = comm.plan_cached(
-                    &mut plans,
-                    Primitive::ReduceScatter,
-                    &mask,
-                    &BufferSpec::new(partial_off, reduced_off, block_bytes).with_dtype(cfg.dtype),
-                    ReduceKind::Sum,
-                )?;
-                let ar_plan = comm.plan_cached(
-                    &mut plans,
-                    Primitive::AllReduce,
-                    &mask,
-                    &BufferSpec::new(partial_off, out_off, block_bytes).with_dtype(cfg.dtype),
-                    ReduceKind::Sum,
-                )?;
-                let fused = comm.fuse(vec![rs_plan.clone(), ar_plan.clone()], &[])?;
-
-                // Combination kernel (the hook): rows sub-block x full W,
-                // placed at its sub-block position in an otherwise-zero
-                // block. The gemm runs as typed-lane axpy rows over W,
-                // accumulating directly into the sub-block slot of the
-                // output scratch.
-                let sub_rows = bs / s;
-                let mut comb_kernel = 0.0f64;
-                let exec = fused.execute_with(&mut sys, None, |_, sys| {
-                    let kernels = par_pes_with(
-                        sys.pes_mut(),
-                        cfg.threads,
-                        || (vec![0i32; sub_rows * f], vec![0i32; bs * f]),
-                        |(rows, out), pid, pe| {
-                            // simlint: hot(begin, gnn rs-ar combine)
-                            let (_, rank) = owner[pid];
-                            let sub_bytes = sub_rows * f * es;
-                            pe.read_sext(reduced_off, cfg.dtype, rows);
-                            out.fill(0);
-                            let base = rank * sub_rows * f;
-                            for r in 0..sub_rows {
-                                let acc = &mut out[base + r * f..base + (r + 1) * f];
-                                for k in 0..f {
-                                    let a = rows[r * f + k];
-                                    if a == 0 {
-                                        continue;
-                                    }
-                                    kernels::axpy_wrap(cfg.dtype, acc, a, w.row(k));
-                                }
-                            }
-                            kernels::relu_i32(&mut out[base..base + sub_rows * f]);
-                            pe.write_trunc(partial_off, cfg.dtype, out);
-                            KERNEL_SCALE
-                                * pe_kernel_ns(
-                                    (sub_bytes + f * f * es) as u64,
-                                    12 * (sub_rows * f * f) as u64,
-                                )
-                            // simlint: hot(end)
-                        },
-                    );
-                    comb_kernel = kernels.into_iter().fold(0.0f64, f64::max);
-                    sys.run_kernel(comb_kernel);
-                    Ok(())
-                })?;
-                profile.record(&exec.reports[0]);
-                profile.record_kernel(comb_kernel + sys.model().kernel_launch_ns);
-                profile.record(&exec.reports[1]);
-            }
-            GnnVariant::ArAg => {
-                // AllReduce + AllGather as one fused chain (plans pooled
-                // per mask, as in RS&AR): the combination kernel runs as
-                // the inter-step hook over the reduced aggregates already
-                // sitting in MRAM, and the AllGather picks its column
-                // blocks up from the same place.
-                let sub_cols = f / s;
-                let colblk_bytes = bs * sub_cols * es;
-                let ar_plan = comm.plan_cached(
-                    &mut plans,
-                    Primitive::AllReduce,
-                    &mask,
-                    &BufferSpec::new(partial_off, reduced_off, block_bytes).with_dtype(cfg.dtype),
-                    ReduceKind::Sum,
-                )?;
-                let ag_plan = comm.plan_cached(
-                    &mut plans,
-                    Primitive::AllGather,
-                    &mask,
-                    &BufferSpec::new(partial_off, out_off, colblk_bytes).with_dtype(cfg.dtype),
-                    ReduceKind::Sum,
-                )?;
-                let fused = comm.fuse(vec![ar_plan.clone(), ag_plan.clone()], &[])?;
-
-                // Combination kernel (the hook): one weight column-block
-                // per rank, as typed-lane axpy rows over W's column
-                // sub-slices.
-                let mut comb_kernel = 0.0f64;
-                let exec = fused.execute_with(&mut sys, None, |_, sys| {
-                    let kernels = par_pes_with(
-                        sys.pes_mut(),
-                        cfg.threads,
-                        || (vec![0i32; bs * f], vec![0i32; bs * sub_cols]),
-                        |(agg, colblk), pid, pe| {
-                            // simlint: hot(begin, gnn ar-ag combine)
-                            let (_, rank) = owner[pid];
-                            pe.read_sext(reduced_off, cfg.dtype, agg);
-                            // col block of result: agg x W[:, cols]
-                            colblk.fill(0);
-                            for r in 0..bs {
-                                let acc = &mut colblk[r * sub_cols..(r + 1) * sub_cols];
-                                for k in 0..f {
-                                    let a = agg[r * f + k];
-                                    if a == 0 {
-                                        continue;
-                                    }
-                                    let wcols = &w.row(k)[rank * sub_cols..(rank + 1) * sub_cols];
-                                    kernels::axpy_wrap(cfg.dtype, acc, a, wcols);
-                                }
-                            }
-                            kernels::relu_i32(colblk);
-                            pe.write_trunc(partial_off, cfg.dtype, colblk);
-                            KERNEL_SCALE
-                                * pe_kernel_ns(
-                                    (block_bytes + f * sub_cols * es) as u64,
-                                    12 * (bs * f * sub_cols) as u64,
-                                )
-                            // simlint: hot(end)
-                        },
-                    );
-                    comb_kernel = kernels.into_iter().fold(0.0f64, f64::max);
-                    sys.run_kernel(comb_kernel);
-                    Ok(())
-                })?;
-                profile.record(&exec.reports[0]);
-                profile.record_kernel(comb_kernel + sys.model().kernel_launch_ns);
-                profile.record(&exec.reports[1]);
-                // The gathered layout is column-block-major; interleaving
-                // it back to row-major is a pure row scatter (decode +
-                // re-encode at one width is the identity on bytes), one
-                // `copy_rows` per block through per-worker scratch.
-                par_pes_with(
-                    sys.pes_mut(),
-                    cfg.threads,
-                    || vec![0u8; block_bytes],
-                    |full, _, pe| {
-                        // simlint: hot(begin, gnn layout transpose)
-                        {
-                            let bytes = pe.read(out_off, block_bytes);
-                            for blk in 0..s {
-                                kernels::copy_rows(
-                                    full,
-                                    blk * sub_cols * es,
-                                    f * es,
-                                    &bytes[blk * colblk_bytes..(blk + 1) * colblk_bytes],
-                                    0,
-                                    sub_cols * es,
-                                    sub_cols * es,
-                                    bs,
-                                );
-                            }
-                        }
-                        pe.write(out_off, full);
-                        // simlint: hot(end)
-                    },
-                );
-            }
-        }
-
-        // The result block becomes the next layer's feature block.
-        par_pes(sys.pes_mut(), cfg.threads, |_, pe| {
-            // simlint: hot(begin, gnn feature rotate)
-            pe.copy_within_region(out_off, FEAT, block_bytes);
-            // simlint: hot(end)
-        });
-    }
-
-    // Gather final features along the last active mask and validate.
-    let last_mask: DimMask = if (cfg.layers - 1).is_multiple_of(2) {
-        "10".parse()?
-    } else {
-        "01".parse()?
-    };
-    let gather_plan = comm.plan_cached(
-        &mut plans,
-        Primitive::Gather,
-        &last_mask,
-        &BufferSpec::new(FEAT, 0, block_bytes).with_dtype(cfg.dtype),
-        ReduceKind::Sum,
-    )?;
-    let (report, gathered) = gather_plan.execute_to_host(&mut sys)?;
-    profile.record(&report);
-
-    // After the final layer every PE of group i holds the full block i;
-    // stitch the blocks together from each group's rank-i holder... every
-    // member of group g holds block g (the group's row-block), so take
-    // rank 0's copy.
-    let (expected, cpu_ns) = cpu_reference(graph, &f0, &weights, cfg.dtype);
-    let groups = comm.manager().groups(&last_mask)?;
-    let mut validated = true;
-    for g in &groups {
-        let blk = &gathered[g.id][..block_bytes];
-        let got = mat_from_bytes(bs, f, blk, cfg.dtype);
-        for r in 0..bs {
-            if got.row(r) != expected.row(g.id * bs + r) {
-                validated = false;
-            }
-        }
-    }
-    assert!(validated, "GNN PIM features diverge from CPU reference");
-    arena.recycle(sys);
-    arena.put_extension(plans);
-
-    Ok(AppRun {
-        profile,
-        cpu_ns,
-        validated,
-    })
-}
-
-/// As [`run_gnn`], but under run-level supervision (see
-/// [`Supervisor`]): collectives run verified with quarantine-aware
-/// recovery, each layer commits through an iteration checkpoint of the
-/// live feature block, and unrecoverable faults end the run with a typed
-/// outcome instead of a panic. With `fault = None` the profile and
-/// outputs are bit-identical to [`run_gnn`].
-///
-/// # Errors
-///
-/// Propagates collective validation errors (never typed fault errors —
-/// those are consumed by the supervisor).
-pub fn run_gnn_resilient(
-    cfg: &GnnConfig,
-    graph: &CsrGraph,
-    fault: Option<Arc<FaultPlan>>,
-    policy: RunPolicy,
-) -> pidcomm::Result<ResilientRun> {
-    run_gnn_resilient_in(cfg, graph, fault, policy, &mut SystemArena::new())
-}
-
-/// As [`run_gnn_resilient`], sourcing allocations from `arena`.
-///
-/// # Errors
-///
-/// As [`run_gnn_resilient`].
-pub fn run_gnn_resilient_in(
-    cfg: &GnnConfig,
-    graph: &CsrGraph,
-    fault: Option<Arc<FaultPlan>>,
-    policy: RunPolicy,
-    arena: &mut SystemArena,
-) -> pidcomm::Result<ResilientRun> {
-    let p = cfg.pes;
-    let s = isqrt(p);
-    let f = cfg.feature_dim;
-    let n = graph.num_vertices();
-    assert_eq!(n % (s * s), 0, "vertices must divide by s^2");
-    assert_eq!(f % s, 0, "feature dim must divide by s");
-    let bs = n / s;
-    let es = esize(cfg.dtype);
-    let block_bytes = bs * f * es;
-    assert_eq!(block_bytes % (8 * s), 0, "collective alignment");
-
-    let geom = DimmGeometry::with_pes(p);
-    let mut sys = arena.system(geom);
-    if let Some(fp) = &fault {
-        sys.attach_fault_plan(fp.clone());
-        sys.set_verify_writes(true);
-    }
-    let mut plans = arena.take_extension::<PlanCache>();
-    let manager = HypercubeManager::new(HypercubeShape::new(vec![s, s])?, geom)?;
-    let comm = Communicator::new(manager)
-        .with_opt(cfg.opt)
-        .with_threads(cfg.threads);
-    let mut profile = AppProfile::new(
-        format!("GNN {}", cfg.variant.label()),
-        format!("{n}v/int{}", 8 * es),
-    );
-    let mut sup = Supervisor::new(p, policy);
-
-    let tile = tiles(graph, s);
-    let weights: Vec<MatI32> = (0..cfg.layers)
-        .map(|l| MatI32::random(f, f, 3, 0x6e6e + l as u64))
-        .collect();
-    let f0 = MatI32::random(n, f, 3, 0xfea7);
-
-    const FEAT: usize = 0;
-    let partial_off = block_bytes.next_multiple_of(64);
-    let reduced_off = partial_off + block_bytes.next_multiple_of(64);
-    let out_off = reduced_off + block_bytes.next_multiple_of(64);
-
-    let mask0: DimMask = "10".parse()?;
-    let groups0 = comm.manager().groups(&mask0)?;
-    let mut scatter_bufs = arena.byte_set(groups0.len(), s * block_bytes);
-    for g in &groups0 {
-        let buf = &mut scatter_bufs[g.id];
-        for rank in 0..g.members.len() {
-            let dst = &mut buf[rank * block_bytes..(rank + 1) * block_bytes];
-            for (lr, r) in (rank * bs..(rank + 1) * bs).enumerate() {
-                kernels::encode_trunc(
-                    cfg.dtype,
-                    f0.row(r),
-                    &mut dst[lr * f * es..(lr + 1) * f * es],
-                );
-            }
-        }
-    }
-    let scatter_plan = comm.plan_cached(
-        &mut plans,
-        Primitive::Scatter,
-        &mask0,
-        &BufferSpec::new(0, FEAT, block_bytes).with_dtype(cfg.dtype),
-        ReduceKind::Sum,
-    )?;
 
     'run: {
         // Setup: the feature scatter restages everything from the host
-        // buffers, so a re-run needs no checkpointed MRAM state.
-        match sup.iteration(&mut sys, arena, &[], |sys, at| {
+        // buffers, so a re-run needs no checkpointed MRAM state. The
+        // payloads are dead once the setup commits.
+        let setup = sup.iteration(&mut sys, arena, &[], |sys, at| {
             Ok(at
                 .collective(&comm, sys, &scatter_plan, Some(&scatter_bufs))?
                 .report)
-        })? {
+        });
+        arena.recycle_byte_set(scatter_bufs);
+        match setup? {
             Iteration::Done(report) => profile.record(&report),
             Iteration::Abort(_) => break 'run,
         }
@@ -666,6 +347,9 @@ pub fn run_gnn_resilient_in(
             } else {
                 "01".parse()?
             };
+            // Host-kernel work items run one per PE; recover each PE's
+            // (group, rank) coordinates up front since groups partition
+            // the PE array exactly.
             let groups = comm.manager().groups(&mask)?;
             let mut owner = vec![(0usize, 0usize); p];
             for g in &groups {
@@ -712,16 +396,24 @@ pub fn run_gnn_resilient_in(
                     )?,
                 ),
             };
-            // The pair runs as one fused chain under the supervisor: the
-            // chain's merged rollback image covers both steps' regions,
-            // so a mid-chain fault restores and replays the whole pair
-            // (the combine hook re-runs deterministically from step 0's
-            // restored output).
+            // The pair runs as one fused chain: step 0's reduced
+            // aggregates land in MRAM, the combination kernel runs over
+            // them as the inter-step hook, and step 1 consumes its output
+            // directly — no host staging between the pair. Under a fault
+            // plan the chain's merged rollback image covers both steps'
+            // regions, so a mid-chain fault restores and replays the
+            // whole pair (the hook re-runs deterministically from step
+            // 0's restored output).
             let fused = comm.fuse(vec![first_plan.clone(), second_plan.clone()], &[])?;
 
             // The live state at a layer boundary is the feature block
             // (everything else is rewritten from it or read-only).
             match sup.iteration(&mut sys, arena, &[(FEAT, block_bytes)], |sys, at| {
+                // Aggregation kernel: within its group, PE of rank r
+                // computes A[i_group][r] · F_r, a partial of row-block
+                // i_group. Per-edge row accumulation runs as a typed-lane
+                // segment-sum over the feature block decoded into
+                // per-worker scratch.
                 let kernels = par_pes_with(
                     sys.pes_mut(),
                     cfg.threads,
@@ -840,6 +532,11 @@ pub fn run_gnn_resilient_in(
                         let mut reports = exec.reports.into_iter();
                         let first_report = reports.next().expect("fused pair: AR report");
                         let second_report = reports.next().expect("fused pair: AG report");
+                        // The gathered layout is column-block-major;
+                        // interleaving it back to row-major is a pure row
+                        // scatter (decode + re-encode at one width is the
+                        // identity on bytes), one `copy_rows` per block
+                        // through per-worker scratch.
                         let colblk_bytes = bs * sub_cols * es;
                         par_pes_with(
                             sys.pes_mut(),
@@ -870,6 +567,7 @@ pub fn run_gnn_resilient_in(
                     }
                 };
 
+                // The result block becomes the next layer's feature block.
                 par_pes(sys.pes_mut(), cfg.threads, |_, pe| {
                     // simlint: hot(begin, gnn feature rotate)
                     pe.copy_within_region(out_off, FEAT, block_bytes);
@@ -887,7 +585,6 @@ pub fn run_gnn_resilient_in(
             }
         }
     }
-    arena.recycle_byte_set(scatter_bufs);
 
     // Final gather and validation, outside the labeled block so an
     // aborted run still reports its mismatch count.
@@ -917,6 +614,8 @@ pub fn run_gnn_resilient_in(
         })? {
             Iteration::Done((report, gathered)) => {
                 profile.record(&report);
+                // After the final layer every member of group g holds
+                // block g (the group's row-block); take rank 0's copy.
                 let groups = comm.manager().groups(&last_mask)?;
                 let mut mm = 0u64;
                 for g in &groups {
@@ -1048,7 +747,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "square PE count")]
     fn non_square_pes_rejected() {
         let cfg = GnnConfig {
             threads: 0,
@@ -1059,6 +757,9 @@ mod tests {
             opt: OptLevel::Full,
             dtype: DType::I32,
         };
-        let _ = run_gnn(&cfg, &small_graph());
+        match run_gnn(&cfg, &small_graph()) {
+            Err(pidcomm::Error::InvalidShape(msg)) => assert!(msg.contains("square PE count")),
+            other => panic!("expected InvalidShape, got {other:?}"),
+        }
     }
 }

@@ -39,13 +39,15 @@ pub struct AppRun {
     pub validated: bool,
 }
 
-/// Result of one resilient application run (the `run_*_resilient`
-/// variants): the ordinary [`AppRun`] plus the run-level recovery record.
+/// Result of one supervised application run (the `run_*_resilient`
+/// entry points): the ordinary [`AppRun`] plus the run-level recovery
+/// record.
 ///
-/// Unlike the plain runners, a resilient run never panics on output
+/// Each app has one runner, written against [`pidcomm::Supervisor`];
+/// `run_*_in` is that runner with no fault plan and the default policy,
+/// returning [`ResilientRun::run`]. A run never panics on output
 /// divergence — degraded execution is the point — and instead reports the
-/// divergence as [`ResilientRun::mismatched`]. With no fault plan the
-/// profile and outputs are bit-identical to the plain runner's.
+/// divergence as [`ResilientRun::mismatched`] with `validated: false`.
 #[derive(Debug, Clone)]
 pub struct ResilientRun {
     /// Profile, CPU reference time and validation flag. The profile
@@ -68,4 +70,14 @@ pub struct ResilientRun {
     pub backoff_epochs: u64,
     /// Iteration rollbacks performed.
     pub checkpoint_restores: u64,
+}
+
+/// Fails with `err()` unless `ok`: the apps' configuration checks, which
+/// reject a layout an app cannot host with a typed error, not a panic.
+pub(crate) fn ensure(ok: bool, err: impl FnOnce() -> pidcomm::Error) -> pidcomm::Result<()> {
+    if ok {
+        Ok(())
+    } else {
+        Err(err())
+    }
 }

@@ -2,7 +2,7 @@
 //! levels and (where applicable) element widths — all must validate
 //! bit-exactly and produce structurally sane profiles.
 
-use pidcomm::{OptLevel, Primitive};
+use pidcomm::{Error, OptLevel, Primitive};
 use pidcomm_apps::bfs::{default_source, run_bfs, run_bfs_in, BfsConfig};
 use pidcomm_apps::cc::{run_cc, run_cc_in, CcConfig};
 use pidcomm_apps::dlrm::{run_dlrm, run_dlrm_in, DlrmRunConfig};
@@ -397,4 +397,55 @@ fn optimization_level_never_changes_results_only_time() {
     }
     // Full must beat Baseline on communication.
     assert!(runs[3].profile.comm_ns() < runs[0].profile.comm_ns());
+}
+
+/// Configurations an app's layout cannot host come back as typed errors,
+/// never as panics.
+#[test]
+fn unhostable_configs_are_typed_errors() {
+    let mlp = |features| {
+        run_mlp(&MlpConfig {
+            threads: 0,
+            features,
+            layers: 1,
+            pes: 64,
+            opt: OptLevel::Full,
+        })
+    };
+    assert!(matches!(mlp(100), Err(Error::InvalidShape(_))));
+    // One column per PE: 4f = 256 is not a multiple of 8P = 512.
+    assert!(matches!(mlp(64), Err(Error::InvalidBuffer(_))));
+
+    let gnn = run_gnn(
+        &GnnConfig {
+            threads: 0,
+            pes: 64,
+            feature_dim: 16,
+            layers: 0,
+            variant: GnnVariant::RsAr,
+            opt: OptLevel::Full,
+            dtype: DType::I32,
+        },
+        &graph(),
+    );
+    assert!(matches!(gnn, Err(Error::InvalidShape(_))));
+
+    let dlrm = |pes, batch_size| {
+        run_dlrm(&DlrmRunConfig {
+            threads: 0,
+            workload: DlrmConfig {
+                num_tables: 8,
+                rows_per_table: 1 << 10,
+                embedding_dim: 16,
+                batch_size,
+                seed: 7,
+            },
+            pes,
+            opt: OptLevel::Full,
+        })
+    };
+    // 100 PEs do not divide by the 8-way table division.
+    assert!(matches!(dlrm(100, 1024), Err(Error::InvalidShape(_))));
+    // A batch that does not divide across the PEs.
+    assert!(matches!(dlrm(64, 1000), Err(Error::InvalidShape(_))));
 }

@@ -45,8 +45,9 @@
 //!   quarantined PEs and the degraded-output delta alongside the modeled
 //!   time; fault schedules are pure functions of fixed seeds, so the
 //!   whole report is deterministic and `--check` pins it bit-for-bit.
-//!   The clean column doubles as the zero-fault bit-identity guard: its
-//!   modeled bits must equal the plain runners' (asserted in-process).
+//!   Each app has one runner, so the clean column equals the fault-free
+//!   `--apps --small` cell by construction; asserting it in-process
+//!   guards that the two case lists keep the same configurations.
 //!
 //! Usage: `bench_json [--apps | --kernels | --design | --autotune |
 //! --chaos] [--small] [--warm-serial] [--threads N] [--cells FILTER]
@@ -1485,13 +1486,14 @@ fn run_chaos_sweep(args: &Args) {
         let run = case.run_in(pes, cell.profile.plan(cell.seed), cell.policy(), &mut arena);
         let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
         if cell.profile == chaos::FaultProfile::Clean {
-            // The zero-fault bit-identity guard: with no fault plan the
-            // resilient wrapper must be invisible — profile, CPU
-            // reference and validation all equal to the plain runner's.
+            // Both case lists drive the same runner, so with no fault
+            // plan the cell must equal the fault-free sweep's — profile,
+            // CPU reference and validation — unless the two lists'
+            // configurations drifted apart.
             let reference = plain[cell.case].run_in(pes, OptLevel::Full, 1, &mut arena);
             assert!(
                 run.run == reference,
-                "{}: clean resilient run diverges from the plain runner",
+                "{}: clean chaos cell diverges from the fault-free sweep cell",
                 case.app
             );
         }

@@ -652,8 +652,9 @@ pub mod apps {
 /// `(seed, pe, epoch, offset)`), the apps commit per-iteration, and the
 /// engine is deterministic — so the whole `BENCH_chaos.json` report is
 /// reproducible bit-for-bit and `--check` can pin it exactly like the
-/// fault-free sweeps. The `clean` column doubles as the zero-fault
-/// bit-identity guard: its modeled bits must equal the plain runners'.
+/// fault-free sweeps. Each app has one runner, so the `clean` column's
+/// modeled bits equal the fault-free `--apps --small` cells by
+/// construction.
 pub mod chaos {
     use std::sync::Arc;
 

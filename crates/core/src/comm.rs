@@ -159,8 +159,11 @@ impl Communicator {
         cache.get_or_build(key, || self.plan(primitive, mask, spec, op))
     }
 
-    /// Executes a plan with fault detection and recovery: verification is
-    /// enabled for the duration, transient faults (detected corruption, a
+    /// Executes a plan with fault detection and recovery: while a fault
+    /// plan is attached, read-after-write verification and a rollback
+    /// image of the plan's touched regions are armed for the duration
+    /// (a caller's own [`PimSystem::set_verify_writes`]`(true)` is
+    /// preserved either way). Transient faults (detected corruption, a
     /// transiently stuck PE) are retried up to `policy.max_retries` times
     /// — each execution is one fault epoch, so a retry re-draws the fault
     /// schedule — and a *persistently* failed PE degrades to host-side
@@ -169,9 +172,9 @@ impl Communicator {
     /// degraded recompute charged to the cost sheet's recovery counters,
     /// so recovery is visible in modeled time.
     ///
-    /// With no fault plan attached this is byte- and modeled-bit-identical
-    /// to the plan's ordinary execute methods: verification reads back
-    /// through the non-materializing peek path and charges nothing.
+    /// With no fault plan attached nothing extra is armed — no fault can
+    /// arise — and this is byte- and modeled-bit-identical to the plan's
+    /// ordinary execute methods.
     ///
     /// `host_in` follows the plan's primitive: `Some` for Scatter and
     /// Broadcast (one buffer per group), `None` otherwise; Gather and
@@ -254,10 +257,12 @@ impl Communicator {
     }
 
     /// Executes a fused chain with fault detection and recovery — the
-    /// chain-level [`Communicator::execute_verified`]: verification on
-    /// for the duration, transient faults retried by rolling the whole
-    /// chain back (merged step + hook regions) and re-running from step
-    /// 0, persistent PE failures degraded step-by-step to host-side
+    /// chain-level [`Communicator::execute_verified`]: verification and
+    /// the chain's merged rollback image are armed while a fault plan is
+    /// attached (a caller's own verification setting is preserved),
+    /// transient faults are retried by rolling the whole chain back
+    /// (merged step + hook regions) and re-running from step 0, and
+    /// persistent PE failures degrade step-by-step to host-side
     /// recompute. With no fault plan attached this is byte- and
     /// modeled-bit-identical to [`FusedPlan::execute_with`].
     ///

@@ -8,9 +8,13 @@
 //!
 //! Three tiers, in escalation order:
 //!
-//! 1. **Verify**: every execution runs with read-after-write verification
-//!    on; detected corruption ([`crate::Error::DataCorruption`]) and stuck
-//!    PEs ([`crate::Error::PeFailed`]) surface at the execute boundary.
+//! 1. **Verify**: with a fault plan attached, every execution runs with
+//!    read-after-write verification on; detected corruption
+//!    ([`crate::Error::DataCorruption`]) and stuck PEs
+//!    ([`crate::Error::PeFailed`]) surface at the execute boundary. With
+//!    no fault plan a landed byte cannot differ from its source, so
+//!    verification stays as the caller left it (a caller's own
+//!    [`PimSystem::set_verify_writes`] is preserved).
 //! 2. **Retry**: transient faults are epoch-keyed and each execution is one
 //!    epoch, so a bounded number of re-runs clears them. The failed
 //!    attempt is first rolled back from a pre-execution image of the
@@ -109,6 +113,16 @@ pub struct FusedVerifiedExecution {
     pub degraded: bool,
 }
 
+/// Arms read-after-write verification for one recovery entry point:
+/// on when a fault plan is attached (the same condition [`capture`] uses
+/// for the rollback image) or when the caller already enabled it.
+/// Returns the caller's setting for the entry point to restore.
+fn arm_verify(sys: &mut PimSystem) -> bool {
+    let prev = sys.verify_writes();
+    sys.set_verify_writes(prev || sys.fault_plan().is_some());
+    prev
+}
+
 /// Captures the pre-execution rollback image: the plan's touched MRAM
 /// windows only (source extent — phase-A reordering is destructive in
 /// place — plus destination extent), captured only when a fault plan is
@@ -129,8 +143,9 @@ fn capture_fused(sys: &PimSystem, fused: &FusedPlan) -> Checkpoint {
     ckpt
 }
 
-/// Runs `plan` with verification enabled, retrying transient faults and
-/// degrading around persistent PE failures per `policy`.
+/// Runs `plan` with verification armed ([`arm_verify`]), retrying
+/// transient faults and degrading around persistent PE failures per
+/// `policy`.
 pub(crate) fn run_verified(
     sys: &mut PimSystem,
     manager: &HypercubeManager,
@@ -153,8 +168,7 @@ pub(crate) fn run_verified_tracked(
     ledger: Option<&mut HealthLedger>,
 ) -> Result<VerifiedExecution> {
     let before = sys.meter();
-    let prev = sys.verify_writes();
-    sys.set_verify_writes(true);
+    let prev = arm_verify(sys);
     let snapshot = sys.fault_plan().is_some().then(|| capture(sys, plan));
     let result = drive(
         sys,
@@ -183,15 +197,15 @@ pub(crate) fn run_degraded(
     ledger: &HealthLedger,
 ) -> Result<VerifiedExecution> {
     let before = sys.meter();
-    let prev = sys.verify_writes();
-    sys.set_verify_writes(true);
+    let prev = arm_verify(sys);
     let result = degrade(sys, manager, plan, host_in, &before, 0, Some(ledger));
     sys.set_verify_writes(prev);
     result
 }
 
-/// Runs a fused chain with verification enabled, retrying transient
-/// faults and degrading around persistent PE failures per `policy`.
+/// Runs a fused chain with verification armed ([`arm_verify`]), retrying
+/// transient faults and degrading around persistent PE failures per
+/// `policy`.
 ///
 /// The retry unit is the **whole chain**: a fault in step *k* restores
 /// the chain's merged rollback regions (all steps' touched windows plus
@@ -212,8 +226,7 @@ pub(crate) fn run_verified_fused(
 ) -> Result<FusedVerifiedExecution> {
     fused.check_staged(staged)?;
     let before = sys.meter();
-    let prev = sys.verify_writes();
-    sys.set_verify_writes(true);
+    let prev = arm_verify(sys);
     let snapshot = sys
         .fault_plan()
         .is_some()
@@ -246,8 +259,7 @@ pub(crate) fn run_degraded_fused(
 ) -> Result<FusedVerifiedExecution> {
     fused.check_staged(staged)?;
     let before = sys.meter();
-    let prev = sys.verify_writes();
-    sys.set_verify_writes(true);
+    let prev = arm_verify(sys);
     let result = degrade_fused(sys, manager, fused, staged, &before, 0, Some(ledger), hook);
     sys.set_verify_writes(prev);
     result

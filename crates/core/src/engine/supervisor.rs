@@ -17,7 +17,10 @@
 //! * **Iteration checkpoints**: apps snapshot only their live MRAM
 //!   regions ([`PimSystem::checkpoint_regions`], pooled through
 //!   [`SystemArena`]) at iteration boundaries, so recovery rolls back one
-//!   iteration — not one plan attempt, and not the whole run.
+//!   iteration — not one plan attempt, and not the whole run. Like the
+//!   recovery tier's verification and rollback images, checkpoints are
+//!   armed only while a fault plan is attached, so an app's one runner
+//!   doubles as its fault-free fast path.
 //! * A [`RunPolicy`] carries a modeled-time deadline, a total retry
 //!   budget and an exponential epoch backoff; runs finish with a typed
 //!   [`RunOutcome`]. Every recovery action is charged to the dedicated
@@ -250,8 +253,9 @@ pub enum Iteration<T> {
 /// Apps wrap each iteration (and their setup / teardown phases) in
 /// [`Supervisor::iteration`], and issue collectives inside the body
 /// through the passed [`Attempt`] — which routes them through the
-/// quarantine-aware verified execution path. See the `run_*_resilient`
-/// functions in `pidcomm-apps` for the canonical wiring.
+/// quarantine-aware verified execution path. See the `run_*_resilient_in`
+/// functions in `pidcomm-apps` (each app's only runner) for the
+/// canonical wiring.
 #[derive(Debug)]
 pub struct Supervisor {
     policy: RunPolicy,
@@ -319,33 +323,15 @@ impl Supervisor {
         RunOutcome::Completed
     }
 
-    /// Issues one collective outside an [`Supervisor::iteration`] body
-    /// (setup scatters, final gathers), with the same quarantine-aware
-    /// recovery as [`Attempt::collective`].
-    pub fn collective(
-        &mut self,
-        comm: &Communicator,
-        sys: &mut PimSystem,
-        plan: &CollectivePlan,
-        host_in: Option<&[Vec<u8>]>,
-    ) -> Result<VerifiedExecution> {
-        collective_impl(
-            &self.policy,
-            &mut self.ledger,
-            &mut self.retries_used,
-            &mut self.degraded,
-            &mut self.events,
-            comm,
-            sys,
-            plan,
-            host_in,
-        )
-    }
-
     /// Runs one iteration resiliently: snapshots `regions` (the app's
     /// live MRAM state) into an arena-pooled checkpoint, runs `body`, and
     /// on a typed fault error rolls the regions back, applies exponential
     /// epoch backoff and re-runs the body under the run's retry budget.
+    ///
+    /// The snapshot is taken only while a fault plan is attached: without
+    /// one no typed fault error can arise, so there is nothing to roll
+    /// back and a fault-free run pays one branch, not a copy of its live
+    /// state per iteration.
     ///
     /// The body must derive everything it writes from committed host
     /// state plus the checkpointed regions (commit host-side mirrors only
@@ -369,7 +355,9 @@ impl Supervisor {
             return Ok(Iteration::Abort(RunOutcome::DeadlineExceeded));
         }
         let mut ckpt = arena.checkpoint();
-        sys.checkpoint_regions(regions, &mut ckpt);
+        if sys.fault_plan().is_some() {
+            sys.checkpoint_regions(regions, &mut ckpt);
+        }
         let result = loop {
             let mut attempt = Attempt {
                 policy: &self.policy,
@@ -476,17 +464,30 @@ impl Attempt<'_> {
         plan: &CollectivePlan,
         host_in: Option<&[Vec<u8>]>,
     ) -> Result<VerifiedExecution> {
-        collective_impl(
-            self.policy,
-            self.ledger,
-            self.retries_used,
-            self.degraded,
-            self.events,
-            comm,
+        // Staging writes since the last boundary may have left corruption
+        // records; surface healthy PEs' now (attributed, so the iteration
+        // retry can roll back) rather than letting the plan blame them on
+        // itself mid-flight.
+        if let Some(err) = residual_fault(sys, self.ledger, self.events) {
+            return Err(err);
+        }
+        // Quarantine: a plan touching a known-bad PE degrades up front.
+        if self.touches_quarantined(comm, [plan])? {
+            *self.degraded = true;
+            return recovery::run_degraded(sys, comm.manager(), plan, host_in, self.ledger);
+        }
+        let attempt = self.plan_attempt();
+        let exec = recovery::run_verified_tracked(
             sys,
+            comm.manager(),
             plan,
             host_in,
-        )
+            &attempt,
+            Some(self.ledger),
+        )?;
+        *self.retries_used += exec.retries;
+        *self.degraded |= exec.degraded;
+        Ok(exec)
     }
 
     /// Executes a fused chain with verification, ledger attribution and
@@ -508,18 +509,69 @@ impl Attempt<'_> {
         staged: Option<&PreparedScatter>,
         hook: impl FnMut(usize, &mut PimSystem) -> Result<()>,
     ) -> Result<FusedVerifiedExecution> {
-        fused_impl(
-            self.policy,
-            self.ledger,
-            self.retries_used,
-            self.degraded,
-            self.events,
-            comm,
+        if let Some(err) = residual_fault(sys, self.ledger, self.events) {
+            return Err(err);
+        }
+        // Quarantine: a chain whose steps touch a known-bad PE degrades up
+        // front, step by step, exactly as its unfused collectives would.
+        if self.touches_quarantined(comm, fused.steps().iter().map(|s| &**s))? {
+            *self.degraded = true;
+            return recovery::run_degraded_fused(
+                sys,
+                comm.manager(),
+                fused,
+                staged,
+                self.ledger,
+                hook,
+            );
+        }
+        let attempt = self.plan_attempt();
+        let exec = recovery::run_verified_fused(
             sys,
+            comm.manager(),
             fused,
             staged,
+            &attempt,
+            Some(self.ledger),
             hook,
-        )
+        )?;
+        *self.retries_used += exec.retries;
+        *self.degraded |= exec.degraded;
+        Ok(exec)
+    }
+
+    /// Whether any group of any of `plans` includes a quarantined PE.
+    fn touches_quarantined<'p>(
+        &self,
+        comm: &Communicator,
+        plans: impl IntoIterator<Item = &'p CollectivePlan>,
+    ) -> Result<bool> {
+        if !self.ledger.any_quarantined() {
+            return Ok(false);
+        }
+        for plan in plans {
+            let groups = comm.manager().groups(&plan.mask)?;
+            if groups.iter().any(|g| {
+                g.members
+                    .iter()
+                    .any(|&pe| self.ledger.is_quarantined(pe.index() as u32))
+            }) {
+                return Ok(true);
+            }
+        }
+        Ok(false)
+    }
+
+    /// The per-collective recovery policy, clamped to the run's remaining
+    /// retry budget.
+    fn plan_attempt(&self) -> RecoveryPolicy {
+        let plan_attempt = self.policy.plan_attempt;
+        RecoveryPolicy {
+            max_retries: plan_attempt
+                .max_retries
+                .min(self.policy.retry_budget.saturating_sub(*self.retries_used)),
+            degrade: plan_attempt.degrade,
+        }
     }
 
     /// Read access to the run's health ledger.
@@ -568,111 +620,4 @@ fn residual_fault(
         });
     events.clear();
     err
-}
-
-#[allow(clippy::too_many_arguments)]
-fn collective_impl(
-    policy: &RunPolicy,
-    ledger: &mut HealthLedger,
-    retries_used: &mut u32,
-    degraded: &mut bool,
-    events: &mut Vec<CorruptionEvent>,
-    comm: &Communicator,
-    sys: &mut PimSystem,
-    plan: &CollectivePlan,
-    host_in: Option<&[Vec<u8>]>,
-) -> Result<VerifiedExecution> {
-    // Staging writes since the last boundary may have left corruption
-    // records; surface healthy PEs' now (attributed, so the iteration
-    // retry can roll back) rather than letting the plan blame them on
-    // itself mid-flight.
-    if let Some(err) = residual_fault(sys, ledger, events) {
-        return Err(err);
-    }
-    // Quarantine: a plan touching a known-bad PE degrades up front.
-    if ledger.any_quarantined() {
-        let groups = comm.manager().groups(&plan.mask)?;
-        let hit = groups.iter().any(|g| {
-            g.members
-                .iter()
-                .any(|&pe| ledger.is_quarantined(pe.index() as u32))
-        });
-        if hit {
-            *degraded = true;
-            return recovery::run_degraded(sys, comm.manager(), plan, host_in, ledger);
-        }
-    }
-    let attempt = RecoveryPolicy {
-        max_retries: policy
-            .plan_attempt
-            .max_retries
-            .min(policy.retry_budget.saturating_sub(*retries_used)),
-        degrade: policy.plan_attempt.degrade,
-    };
-    let exec =
-        recovery::run_verified_tracked(sys, comm.manager(), plan, host_in, &attempt, Some(ledger))?;
-    *retries_used += exec.retries;
-    if exec.degraded {
-        *degraded = true;
-    }
-    Ok(exec)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn fused_impl(
-    policy: &RunPolicy,
-    ledger: &mut HealthLedger,
-    retries_used: &mut u32,
-    degraded: &mut bool,
-    events: &mut Vec<CorruptionEvent>,
-    comm: &Communicator,
-    sys: &mut PimSystem,
-    fused: &FusedPlan,
-    staged: Option<&PreparedScatter>,
-    hook: impl FnMut(usize, &mut PimSystem) -> Result<()>,
-) -> Result<FusedVerifiedExecution> {
-    if let Some(err) = residual_fault(sys, ledger, events) {
-        return Err(err);
-    }
-    // Quarantine: a chain whose steps touch a known-bad PE degrades up
-    // front, step by step, exactly as its unfused collectives would.
-    if ledger.any_quarantined() {
-        let mut hit = false;
-        for step in fused.steps() {
-            let groups = comm.manager().groups(&step.mask)?;
-            if groups.iter().any(|g| {
-                g.members
-                    .iter()
-                    .any(|&pe| ledger.is_quarantined(pe.index() as u32))
-            }) {
-                hit = true;
-                break;
-            }
-        }
-        if hit {
-            *degraded = true;
-            return recovery::run_degraded_fused(sys, comm.manager(), fused, staged, ledger, hook);
-        }
-    }
-    let attempt = RecoveryPolicy {
-        max_retries: policy
-            .plan_attempt
-            .max_retries
-            .min(policy.retry_budget.saturating_sub(*retries_used)),
-        degrade: policy.plan_attempt.degrade,
-    };
-    let exec = recovery::run_verified_fused(
-        sys,
-        comm.manager(),
-        fused,
-        staged,
-        &attempt,
-        Some(ledger),
-        hook,
-    )?;
-    *retries_used += exec.retries;
-    if exec.degraded {
-        *degraded = true;
-    }
-    Ok(exec)
 }

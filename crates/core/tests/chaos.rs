@@ -14,8 +14,9 @@
 //!    answer, never a panic.
 //!
 //! The `app_storms` module lifts the same guarantees to whole application
-//! runs through the run-level supervisor (`run_*_resilient`): zero-fault
-//! bit-identity with the plain runners, deterministic typed outcomes
+//! runs through the run-level supervisor (`run_*_resilient`, each app's
+//! one runner): zero-fault runs that commit clean with no recovery state
+//! and equal the plain entry points, deterministic typed outcomes
 //! under seeded storms, and Degraded completion (within a modeled-time
 //! deadline) where a persistent PE failure used to be a fatal error.
 
@@ -591,8 +592,9 @@ mod app_storms {
         assert!(a.run == b.run, "{app} {ctx}: committed profile diverges");
     }
 
-    /// With no fault plan, every resilient runner is bit-identical to its
-    /// plain twin: same profile, same validation, zero recovery state.
+    /// With no fault plan, every supervised run commits clean with zero
+    /// recovery state, and equals the plain entry point (which wraps the
+    /// same runner): same profile, same validation.
     #[test]
     fn zero_fault_resilient_runs_match_plain_runners() {
         let clean = run_all(&|| None, RunPolicy::default());

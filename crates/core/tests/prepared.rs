@@ -10,7 +10,7 @@
 
 use pidcomm::{
     BufferSpec, CollectivePlan, Communicator, DimMask, Error, HypercubeManager, HypercubeShape,
-    OptLevel, Primitive, RecoveryPolicy, ReduceKind,
+    Iteration, OptLevel, Primitive, RecoveryPolicy, ReduceKind, RunPolicy, Supervisor,
 };
 use pim_sim::{DimmGeometry, FaultKind, FaultPlan, PimSystem, SystemArena};
 use std::sync::Arc;
@@ -345,6 +345,56 @@ fn zero_fault_verified_fused_is_bit_identical() {
             snapshot(&sys) == plain_mram,
             "{first} chain: verified MRAM diverges"
         );
+    }
+}
+
+/// Verification is armed only under a fault plan: a supervised fused
+/// chain's inter-step hooks see write verification off with no fault plan
+/// attached (no fault can arise, so a fault-free run pays nothing for it)
+/// and on with one attached. A caller's own setting is preserved inside
+/// the chain and restored after it.
+#[test]
+fn supervised_chain_arms_verification_only_under_a_fault_plan() {
+    let mask: DimMask = "10".parse().unwrap();
+    let c = comm(OptLevel::Full, 1);
+    let steps = chain(&c, &mask, Primitive::Scatter);
+    let hooks = steps.len() - 1;
+    let prepared = c
+        .prepare(Arc::clone(&steps[0]), &host_in(Primitive::Scatter))
+        .unwrap();
+    let fused = c.fuse(steps, &[]).unwrap();
+    let mut arena = SystemArena::new();
+    for (faulty, caller_verify) in [(false, false), (true, false), (false, true)] {
+        let mut sys = fresh_filled(&mut arena);
+        if faulty {
+            // A plan with no fault kind scheduled: it arms the tier but
+            // never injects, so the run commits first time.
+            sys.attach_fault_plan(Arc::new(FaultPlan::new(1)));
+        }
+        sys.set_verify_writes(caller_verify);
+        let mut sup = Supervisor::new(sys.geometry().num_pes(), RunPolicy::default());
+        let mut seen = Vec::new();
+        let done = sup
+            .iteration(&mut sys, &mut arena, &[(0, SNAP)], |sys, at| {
+                seen.clear();
+                at.fused(&c, sys, &fused, Some(&prepared), |_, sys| {
+                    seen.push(sys.verify_writes());
+                    Ok(())
+                })?;
+                Ok(())
+            })
+            .unwrap();
+        let ctx = format!("fault plan {faulty}, caller verify {caller_verify}");
+        assert!(matches!(done, Iteration::Done(())), "{ctx}");
+        assert_eq!(seen, vec![faulty || caller_verify; hooks], "{ctx}");
+        assert_eq!(
+            sys.verify_writes(),
+            caller_verify,
+            "{ctx}: setting restored"
+        );
+        sys.detach_fault_plan();
+        sys.set_verify_writes(false);
+        arena.recycle(sys);
     }
 }
 
