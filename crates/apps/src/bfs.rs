@@ -254,7 +254,8 @@ pub fn run_bfs_resilient_in(
         let setup = sup.iteration(&mut sys, arena, &[], |sys, at| {
             Ok(at
                 .collective(&comm, sys, &scatter_plan, Some(&adj_host))?
-                .report)
+                .reports[0]
+                .clone())
         });
         let [adj_host] = adj_host;
         arena.recycle_bytes(adj_host);
@@ -311,7 +312,7 @@ pub fn run_bfs_resilient_in(
                 sys.run_kernel(max_kernel);
                 // Merge bitmaps globally: AllReduce with bitwise OR (u8
                 // elements, which skips domain transfer entirely, §V-C).
-                let report = at.collective(&comm, sys, &merge_plan, None)?.report;
+                let report = at.collective(&comm, sys, &merge_plan, None)?.reports[0].clone();
                 // Read the merged bitmap back from the first healthy PE
                 // (identical on every PE; a degraded execution skips
                 // landing output on quarantined PEs, whose copy is stale).
@@ -366,7 +367,7 @@ pub fn run_bfs_resilient_in(
             );
             let exec = at.collective(&comm, sys, &gather_plan, None)?;
             Ok((
-                exec.report,
+                exec.reports[0].clone(),
                 exec.host_out.expect("gather produces host output"),
             ))
         })? {

@@ -282,7 +282,8 @@ pub fn run_cc_resilient_in(
         let setup = sup.iteration(&mut sys, arena, &[], |sys, at| {
             Ok(at
                 .collective(&comm, sys, &scatter_plan, Some(&adj_host))?
-                .report)
+                .reports[0]
+                .clone())
         });
         let [adj_host] = adj_host;
         arena.recycle_bytes(adj_host);
@@ -334,7 +335,7 @@ pub fn run_cc_resilient_in(
                 });
                 let max_kernel = kernels.into_iter().fold(0.0f64, f64::max);
                 sys.run_kernel(max_kernel);
-                let report = at.collective(&comm, sys, &merge_plan, None)?.report;
+                let report = at.collective(&comm, sys, &merge_plan, None)?.reports[0].clone();
                 // Read the merged labels back from the first healthy PE
                 // (identical on every PE; a degraded execution skips
                 // landing output on quarantined PEs, whose copy is stale).
@@ -381,7 +382,7 @@ pub fn run_cc_resilient_in(
         match sup.iteration(&mut sys, arena, &[], |sys, at| {
             let exec = at.collective(&comm, sys, &reduce_plan, None)?;
             Ok((
-                exec.report,
+                exec.reports[0].clone(),
                 exec.host_out.expect("reduce produces host output"),
             ))
         })? {

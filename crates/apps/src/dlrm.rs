@@ -390,7 +390,8 @@ pub fn run_dlrm_resilient_in(
         let setup = sup.iteration(&mut sys, arena, &[], |sys, at| {
             Ok(at
                 .collective(&comm, sys, &scatter_plan, Some(&batch_host))?
-                .report)
+                .reports[0]
+                .clone())
         });
         let [batch_host] = batch_host;
         arena.recycle_bytes(batch_host);
@@ -577,7 +578,7 @@ pub fn run_dlrm_resilient_in(
                 pe.slice_mut(score_off, score_bytes).fill(1);
                 // simlint: hot(end)
             });
-            Ok(at.collective(&comm, sys, &gather_plan, None)?.report)
+            Ok(at.collective(&comm, sys, &gather_plan, None)?.reports[0].clone())
         })? {
             Iteration::Done(report) => {
                 profile.record_kernel(kernel + sys.model().kernel_launch_ns);

@@ -333,7 +333,8 @@ pub fn run_gnn_resilient_in(
         let setup = sup.iteration(&mut sys, arena, &[], |sys, at| {
             Ok(at
                 .collective(&comm, sys, &scatter_plan, Some(&scatter_bufs))?
-                .report)
+                .reports[0]
+                .clone())
         });
         arena.recycle_byte_set(scatter_bufs);
         match setup? {
@@ -608,7 +609,7 @@ pub fn run_gnn_resilient_in(
         match sup.iteration(&mut sys, arena, &[], |sys, at| {
             let exec = at.collective(&comm, sys, &gather_plan, None)?;
             Ok((
-                exec.report,
+                exec.reports[0].clone(),
                 exec.host_out.expect("gather produces host output"),
             ))
         })? {

@@ -261,7 +261,7 @@ pub fn run_mlp_resilient_in(
                 &w_scatter_plan,
                 Some(core::slice::from_ref(&w_host)),
             )?;
-            Ok([a.report, b.report])
+            Ok([a.reports[0].clone(), b.reports[0].clone()])
         });
         arena.recycle_bytes(w_host);
         match setup? {
@@ -318,7 +318,7 @@ pub fn run_mlp_resilient_in(
                 // ReduceScatter the partials: PE p ends with elements
                 // [p*cols, (p+1)*cols) of the summed output, which becomes
                 // the next activation slice.
-                let report = at.collective(&comm, sys, &rs_plan, None)?.report;
+                let report = at.collective(&comm, sys, &rs_plan, None)?.reports[0].clone();
                 par_pes(sys.pes_mut(), cfg.threads, |_, pe| {
                     // simlint: hot(begin, mlp slice rotate)
                     pe.copy_within_region(out_off, SLICE, slice_bytes);
@@ -339,7 +339,7 @@ pub fn run_mlp_resilient_in(
         match sup.iteration(&mut sys, arena, &[], |sys, at| {
             let exec = at.collective(&comm, sys, &gather_plan, None)?;
             Ok((
-                exec.report,
+                exec.reports[0].clone(),
                 exec.host_out.expect("gather produces host output"),
             ))
         })? {

@@ -60,8 +60,8 @@
 //!   PEs); the CI smoke configuration.
 //! * `--warm-serial` — after the cold serial reference, re-run every cell
 //!   on one worker sharing a single arena, so cells past the first hit
-//!   the plan cache and re-stage into pooled prepared/staging buffers.
-//!   The cold-vs-warm delta isolates pure plan+prepared reuse with the
+//!   the plan cache and reuse pooled systems and staging buffers. The
+//!   cold-vs-warm delta isolates pure plan and arena reuse with the
 //!   schedule held fixed at one thread; recorded under `"warm_serial"`
 //!   in the report metadata.
 //! * `--threads N` — machine thread budget (`0` or absent = auto); the
@@ -945,10 +945,10 @@ fn run_app_sweep(args: &Args) {
 
     // Warm serial pass (--warm-serial): the same cells on one worker
     // again, but sharing ONE arena across all cells — every cell past
-    // the first hits the plan cache and re-stages into pooled
-    // prepared-row/staging buffers. Against the cold pass above (fresh
-    // arena per cell) this isolates pure plan+prepared reuse with the
-    // schedule held fixed at one thread.
+    // the first hits the plan cache and reuses pooled systems and
+    // staging buffers. Against the cold pass above (fresh arena per
+    // cell) this isolates pure plan and arena reuse with the schedule
+    // held fixed at one thread.
     let warm = if args.warm_serial {
         let mut arena = SystemArena::new();
         let t0 = std::time::Instant::now();

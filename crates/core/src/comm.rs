@@ -3,12 +3,12 @@
 use std::sync::Arc;
 
 use pim_sim::dtype::ReduceKind;
-use pim_sim::{PimSystem, SystemArena};
+use pim_sim::PimSystem;
 
 use crate::config::{OptLevel, Primitive};
 use crate::engine::plan::{CollectivePlan, PlanCache, PlanKey};
-use crate::engine::prepared::{FusedPlan, PreparedScatter};
-use crate::engine::recovery::{self, FusedVerifiedExecution, RecoveryPolicy, VerifiedExecution};
+use crate::engine::prepared::FusedPlan;
+use crate::engine::recovery::{self, RecoveryPolicy, VerifiedExecution};
 use crate::engine::{self, BufferSpec};
 use crate::error::{Error, Result};
 use crate::hypercube::{DimMask, HypercubeManager};
@@ -159,92 +159,37 @@ impl Communicator {
         cache.get_or_build(key, || self.plan(primitive, mask, spec, op))
     }
 
-    /// Executes a plan with fault detection and recovery: while a fault
-    /// plan is attached, read-after-write verification and a rollback
-    /// image of the plan's touched regions are armed for the duration
-    /// (a caller's own [`PimSystem::set_verify_writes`]`(true)` is
-    /// preserved either way). Transient faults (detected corruption, a
-    /// transiently stuck PE) are retried up to `policy.max_retries` times
-    /// — each execution is one fault epoch, so a retry re-draws the fault
-    /// schedule — and a *persistently* failed PE degrades to host-side
-    /// recompute of the collective's semantics when `policy.degrade` is
-    /// set. The returned report spans all attempts, with retries and
-    /// degraded recompute charged to the cost sheet's recovery counters,
-    /// so recovery is visible in modeled time.
-    ///
-    /// With no fault plan attached nothing extra is armed — no fault can
-    /// arise — and this is byte- and modeled-bit-identical to the plan's
-    /// ordinary execute methods.
-    ///
-    /// `host_in` follows the plan's primitive: `Some` for Scatter and
-    /// Broadcast (one buffer per group), `None` otherwise; Gather and
-    /// Reduce return `host_out` buffers.
+    /// Executes one collective with fault detection and recovery: forms
+    /// the one-step chain of `plan` and runs it through
+    /// [`Communicator::execute_verified_fused`]. `host_in` follows the
+    /// plan's primitive: `Some` for Scatter and Broadcast (one buffer per
+    /// group), `None` otherwise; Gather and Reduce return `host_out`
+    /// buffers.
     ///
     /// # Errors
     ///
-    /// As the plan's execute methods, plus [`crate::Error::DataCorruption`]
-    /// / [`crate::Error::PeFailed`] when recovery is exhausted (retry
-    /// budget spent, or degradation disabled).
+    /// As [`Communicator::execute_verified_fused`].
     pub fn execute_verified(
         &self,
         sys: &mut PimSystem,
-        plan: &CollectivePlan,
+        plan: &Arc<CollectivePlan>,
         host_in: Option<&[Vec<u8>]>,
         policy: &RecoveryPolicy,
     ) -> Result<VerifiedExecution> {
-        recovery::run_verified(sys, &self.manager, plan, host_in, policy)
+        let chain = FusedPlan::new(vec![Arc::clone(plan)])?;
+        self.execute_verified_fused(sys, &chain, host_in, policy, |_, _| Ok(()))
     }
 
-    /// Stages a rooted send's host payload for repeat execution: the
-    /// prepared-execution tier over [`Communicator::plan`]. Validation
-    /// and row assembly run once, here; every
-    /// [`PreparedScatter::execute`] after that skips both and is
-    /// byte- and modeled-bit-identical to
-    /// [`CollectivePlan::execute_with_host`].
-    ///
-    /// Pass an arena to pool the staged image
-    /// ([`PreparedScatter::stage_in`] / [`PreparedScatter::retire`]) via
-    /// [`Communicator::prepare_in`].
-    ///
-    /// # Errors
-    ///
-    /// [`Error::ShapeSystemMismatch`] when the plan was built for a
-    /// different geometry than this communicator, plus
-    /// [`PreparedScatter::stage`]'s validation errors.
-    pub fn prepare(
-        &self,
-        plan: Arc<CollectivePlan>,
-        host_in: &[Vec<u8>],
-    ) -> Result<PreparedScatter> {
-        self.check_plan_geometry(&plan)?;
-        PreparedScatter::stage(plan, host_in)
-    }
-
-    /// As [`Communicator::prepare`], staging into an arena-pooled buffer.
-    ///
-    /// # Errors
-    ///
-    /// As [`Communicator::prepare`].
-    pub fn prepare_in(
-        &self,
-        plan: Arc<CollectivePlan>,
-        host_in: &[Vec<u8>],
-        arena: &mut SystemArena,
-    ) -> Result<PreparedScatter> {
-        self.check_plan_geometry(&plan)?;
-        PreparedScatter::stage_in(plan, host_in, arena)
-    }
-
-    /// Fuses plans built by this communicator into one multi-step chain
-    /// ([`FusedPlan::new`]), checking each against the communicator's
-    /// geometry first. `extra_regions` lists the MRAM windows inter-step
-    /// hooks write, so chain-level rollback covers them
+    /// Fuses plans built by this communicator into one chain of one or
+    /// more steps ([`FusedPlan::new`]), checking each against the
+    /// communicator's geometry first. `extra_regions` lists the MRAM
+    /// windows inter-step hooks write, so chain-level rollback covers them
     /// ([`FusedPlan::with_regions`]).
     ///
     /// # Errors
     ///
     /// [`Error::ShapeSystemMismatch`] on any geometry mismatch, plus the
-    /// fusion-contract errors of [`FusedPlan::new`].
+    /// chain-contract errors of [`FusedPlan::new`].
     pub fn fuse(
         &self,
         steps: Vec<Arc<CollectivePlan>>,
@@ -256,32 +201,43 @@ impl Communicator {
         FusedPlan::with_regions(steps, extra_regions)
     }
 
-    /// Executes a fused chain with fault detection and recovery — the
-    /// chain-level [`Communicator::execute_verified`]: verification and
-    /// the chain's merged rollback image are armed while a fault plan is
-    /// attached (a caller's own verification setting is preserved),
-    /// transient faults are retried by rolling the whole chain back
-    /// (merged step + hook regions) and re-running from step 0, and
-    /// persistent PE failures degrade step-by-step to host-side
-    /// recompute. With no fault plan attached this is byte- and
-    /// modeled-bit-identical to [`FusedPlan::execute_with`].
+    /// Executes a chain with fault detection and recovery: while a fault
+    /// plan is attached, read-after-write verification and a rollback
+    /// image of the chain's merged regions (every step's touched windows
+    /// plus hook-written extras) are armed for the duration (a caller's
+    /// own [`PimSystem::set_verify_writes`]`(true)` is preserved either
+    /// way). Transient faults (detected corruption, a transiently stuck
+    /// PE) roll the whole chain back and re-run it from step 0, up to
+    /// `policy.max_retries` times — each step execution is one fault
+    /// epoch, so a retry re-draws the fault schedule — and a
+    /// *persistently* failed PE degrades every step to host-side
+    /// recompute of its semantics when `policy.degrade` is set.
+    ///
+    /// The result follows [`VerifiedExecution`]'s report rule: per-step
+    /// reports of the committing pass, plus a breakdown spanning every
+    /// attempt with retries and degraded recompute charged to the cost
+    /// sheet's recovery counters, so recovery is visible in modeled time.
+    /// With no fault plan attached nothing extra is armed — no fault can
+    /// arise — and this is byte- and modeled-bit-identical to
+    /// [`FusedPlan::execute_with`].
     ///
     /// # Errors
     ///
-    /// As [`Communicator::execute_verified`], plus the fused-plan
-    /// validation errors (staged input mismatch).
+    /// As the steps' execute methods, plus [`crate::Error::DataCorruption`]
+    /// / [`crate::Error::PeFailed`] when recovery is exhausted (retry
+    /// budget spent, or degradation disabled).
     pub fn execute_verified_fused(
         &self,
         sys: &mut PimSystem,
-        fused: &FusedPlan,
-        staged: Option<&PreparedScatter>,
+        chain: &FusedPlan,
+        host_in: Option<&[Vec<u8>]>,
         policy: &RecoveryPolicy,
         hook: impl FnMut(usize, &mut PimSystem) -> Result<()>,
-    ) -> Result<FusedVerifiedExecution> {
-        recovery::run_verified_fused(sys, &self.manager, fused, staged, policy, None, hook)
+    ) -> Result<VerifiedExecution> {
+        recovery::run_verified(sys, &self.manager, chain, host_in, policy, None, hook)
     }
 
-    /// A plan only prepares/fuses on the communicator whose geometry it
+    /// A plan only fuses on the communicator whose geometry it
     /// was built for.
     fn check_plan_geometry(&self, plan: &CollectivePlan) -> Result<()> {
         if plan.geometry != *self.manager.geometry() {

@@ -19,6 +19,7 @@ pub(crate) mod streaming;
 pub mod supervisor;
 
 use pim_sim::dtype::{DType, ReduceKind};
+use pim_sim::pe::MRAM_CAPACITY;
 use pim_sim::PimSystem;
 
 use crate::config::{OptLevel, Primitive};
@@ -31,9 +32,11 @@ use crate::report::CommReport;
 /// API, Fig. 10).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BufferSpec {
-    /// Source MRAM offset on every PE (ignored by Scatter/Broadcast).
+    /// Source MRAM offset on every PE (ignored by Scatter/Broadcast, but
+    /// like every offset it must lie inside the MRAM bank).
     pub src_offset: usize,
-    /// Destination MRAM offset on every PE (ignored by Gather/Reduce).
+    /// Destination MRAM offset on every PE (ignored by Gather/Reduce, but
+    /// like every offset it must lie inside the MRAM bank).
     pub dst_offset: usize,
     /// Payload bytes per node; see each primitive for the exact meaning
     /// (total send size for AlltoAll/ReduceScatter/AllReduce/Reduce/Gather,
@@ -69,11 +72,13 @@ pub(crate) struct Execution {
 }
 
 /// MRAM byte ranges `(src_len, dst_len)` a primitive touches per PE.
+/// Saturating, so an oversized spec reaches [`validate_spec`]'s bank
+/// bound instead of overflowing.
 pub(crate) fn buffer_extents(primitive: Primitive, b: usize, n: usize) -> (usize, usize) {
     match primitive {
         Primitive::AlltoAll | Primitive::AllReduce => (b, b),
         Primitive::ReduceScatter => (b, b / n),
-        Primitive::AllGather => (b, b * n),
+        Primitive::AllGather => (b, b.saturating_mul(n)),
         Primitive::Scatter => (0, b),
         Primitive::Gather | Primitive::Reduce => (b, 0),
         Primitive::Broadcast => (0, b),
@@ -129,7 +134,20 @@ pub(crate) fn validate_spec(primitive: Primitive, spec: &BufferSpec, n: usize) -
         )));
     }
 
+    // Every offset must address the bank and every extent must end inside
+    // it: checked, so a hostile offset or size is a typed error here rather
+    // than an overflow or an out-of-bank access mid-execute.
     let (src_len, dst_len) = buffer_extents(primitive, b, n);
+    for (what, off, len) in [
+        ("source", spec.src_offset, src_len),
+        ("destination", spec.dst_offset, dst_len),
+    ] {
+        if off >= MRAM_CAPACITY || off.checked_add(len).is_none_or(|end| end > MRAM_CAPACITY) {
+            return Err(Error::InvalidBuffer(format!(
+                "{what} region of {len} bytes at offset {off} exceeds the {MRAM_CAPACITY}-byte MRAM bank"
+            )));
+        }
+    }
     if src_len > 0 && dst_len > 0 {
         let (s0, s1) = (spec.src_offset, spec.src_offset + src_len);
         let (d0, d1) = (spec.dst_offset, spec.dst_offset + dst_len);

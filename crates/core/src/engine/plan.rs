@@ -301,7 +301,14 @@ impl CollectivePlan {
         sys: &mut PimSystem,
         host_in: Option<&[Vec<u8>]>,
     ) -> Result<Execution> {
-        self.check_geometry(sys)?;
+        // A plan only runs against systems of the geometry it was built
+        // for.
+        if self.geometry != *sys.geometry() {
+            return Err(Error::ShapeSystemMismatch {
+                nodes: self.num_nodes,
+                pes: sys.geometry().num_pes(),
+            });
+        }
         validate_host_in(
             self.primitive,
             self.spec.bytes_per_node,
@@ -309,63 +316,7 @@ impl CollectivePlan {
             self.num_groups,
             host_in,
         )?;
-        self.run_with(sys, |sys, sheet| match self.primitive {
-            Primitive::Broadcast => {
-                streaming::broadcast(sys, sheet, self, host_in.unwrap());
-                None
-            }
-            Primitive::Scatter => {
-                streaming::scatter(sys, sheet, self, host_in.unwrap());
-                None
-            }
-            Primitive::Gather => Some(streaming::gather(sys, sheet, self)),
-            _ if self.opt == OptLevel::Baseline => baseline::run(sys, sheet, self),
-            Primitive::AlltoAll => {
-                streaming::alltoall(sys, sheet, self);
-                None
-            }
-            Primitive::ReduceScatter => {
-                streaming::reduce_scatter(sys, sheet, self);
-                None
-            }
-            Primitive::AllReduce => {
-                streaming::all_reduce(sys, sheet, self);
-                None
-            }
-            Primitive::AllGather => {
-                streaming::all_gather(sys, sheet, self);
-                None
-            }
-            Primitive::Reduce => Some(streaming::reduce(sys, sheet, self)),
-        })
-    }
 
-    /// The plan's geometry gate, shared by every execution entry point:
-    /// a plan only runs against systems of the geometry it was built for.
-    pub(crate) fn check_geometry(&self, sys: &PimSystem) -> Result<()> {
-        if self.geometry != *sys.geometry() {
-            return Err(Error::ShapeSystemMismatch {
-                nodes: self.num_nodes,
-                pes: sys.geometry().num_pes(),
-            });
-        }
-        Ok(())
-    }
-
-    /// The shared execution envelope around a primitive dispatch: fault
-    /// epoch + stuck scan, fresh private [`CostSheet`], extent
-    /// reservation, cost application, corruption check and report
-    /// assembly. [`CollectivePlan::run`] wraps the standard executors in
-    /// it; the prepared tier ([`super::prepared`]) wraps the prestaged
-    /// ones — both therefore charge and report bit-identically.
-    ///
-    /// Callers must have validated geometry and host buffers first
-    /// ([`CollectivePlan::check_geometry`] / [`validate_host_in`]).
-    pub(crate) fn run_with(
-        &self,
-        sys: &mut PimSystem,
-        dispatch: impl FnOnce(&mut PimSystem, &mut CostSheet) -> Option<Vec<Vec<u8>>>,
-    ) -> Result<Execution> {
         // Fault-layer execute boundary: each execution is one epoch, and a
         // stuck PE fails the collective up front — every PE participates in
         // every collective (`num_groups × n == num_nodes`), so a dead DPU
@@ -385,7 +336,35 @@ impl CollectivePlan {
         // streaming loops never pay incremental MRAM reallocation copies.
         sys.reserve_extent_all(self.reserve_extent);
 
-        let host_out: Option<Vec<Vec<u8>>> = dispatch(sys, &mut sheet);
+        let host_out = match self.primitive {
+            Primitive::Broadcast => {
+                streaming::broadcast(sys, &mut sheet, self, host_in.unwrap());
+                None
+            }
+            Primitive::Scatter => {
+                streaming::scatter(sys, &mut sheet, self, host_in.unwrap());
+                None
+            }
+            Primitive::Gather => Some(streaming::gather(sys, &mut sheet, self)),
+            _ if self.opt == OptLevel::Baseline => baseline::run(sys, &mut sheet, self),
+            Primitive::AlltoAll => {
+                streaming::alltoall(sys, &mut sheet, self);
+                None
+            }
+            Primitive::ReduceScatter => {
+                streaming::reduce_scatter(sys, &mut sheet, self);
+                None
+            }
+            Primitive::AllReduce => {
+                streaming::all_reduce(sys, &mut sheet, self);
+                None
+            }
+            Primitive::AllGather => {
+                streaming::all_gather(sys, &mut sheet, self);
+                None
+            }
+            Primitive::Reduce => Some(streaming::reduce(sys, &mut sheet, self)),
+        };
 
         sheet.apply(sys);
 

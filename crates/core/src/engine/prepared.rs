@@ -1,196 +1,43 @@
-//! Prepared execution: validate and stage once, execute many — and fused
-//! multi-step plans with no intermediate host staging.
+//! Chains: the one execution unit of the verified and supervised tiers.
 //!
-//! The plan/execute split ([`CollectivePlan`]) hoisted every
-//! payload-*independent* derivation out of the iteration loops; this
-//! module hoists the payload-*dependent* per-call work that remained:
+//! A [`FusedPlan`] is a chain of one or more [`CollectivePlan`]s over one
+//! geometry. Step *k*'s output rows sit in PE MRAM exactly where step
+//! *k+1*'s plan reads them, with optional host kernels
+//! ([`FusedPlan::execute_with`] hooks) between steps and **no host
+//! staging round-trip anywhere in the chain**. Each step keeps its own
+//! fault epoch, cost sheet and meter window, so per-step [`CommReport`]s
+//! are bit-identical to issuing the plans separately — chaining removes
+//! host-side copies and per-call overhead, never changes the charged
+//! schedule. A single collective is a chain of one step: the recovery
+//! tier ([`crate::engine::recovery`]) and the run-level supervisor
+//! ([`crate::engine::supervisor`]) execute nothing else.
 //!
-//! * [`PreparedScatter`] validates a Scatter/Broadcast's `host_in` once
-//!   and assembles its per-cluster row image once (through the pitch-based
-//!   [`pim_sim::kernels::copy_rows`]), into a buffer that can be pooled in
-//!   a [`SystemArena`]. Repeat executes then skip validation and row
-//!   re-assembly entirely — the prestaged executors slice the image and
-//!   land rows with the exact charging of the unprepared path, so reports
-//!   and PE bytes are bit-identical (pinned by `tests/prepared.rs`).
-//! * [`FusedPlan`] chains 2+ plans of one geometry into a single execution
-//!   unit: step *k*'s output rows sit in PE MRAM exactly where step
-//!   *k+1*'s plan reads them, with optional host kernels ([`FusedPlan::
-//!   execute_with`] hooks) between steps and **no host staging round-trip
-//!   anywhere in the chain**. Each step keeps its own fault epoch, cost
-//!   sheet and meter window, so per-step [`CommReport`]s are bit-identical
-//!   to issuing the plans separately — fusion removes host-side copies and
-//!   per-call overhead, never changes the charged schedule.
+//! # Chain contract
 //!
-//! # Fusion contract
-//!
-//! [`FusedPlan::new`] enforces the chain shape: at least two steps, all
+//! [`FusedPlan::new`] enforces the chain shape: at least one step, all
 //! sharing one [`DimmGeometry`]; only the first step may be a host-rooted
-//! send (Scatter/Broadcast — staged via [`PreparedScatter`]), only the
-//! last may be a host-rooted receive (Gather/Reduce), and every step's
-//! buffers must satisfy its own plan validation. Inter-step hooks must
-//! derive everything they write from host state plus MRAM the chain's
-//! rollback regions cover ([`FusedPlan::with_regions`] adds hook-written
-//! regions), so a verified retry of the chain re-runs them
-//! deterministically — see [`crate::engine::recovery`].
+//! send (Scatter/Broadcast — its `host_in` is passed to the chain's
+//! execute), only the last may be a host-rooted receive (Gather/Reduce),
+//! and every step's buffers must satisfy its own plan validation.
+//! Inter-step hooks must derive everything they write from host state
+//! plus MRAM the chain's rollback regions cover
+//! ([`FusedPlan::with_regions`] adds hook-written regions), so a verified
+//! retry of the chain re-runs them deterministically.
 //!
 //! # Lifecycle
 //!
-//! plan (once) → prepare/fuse (once per payload) → execute ×N. Restage
-//! ([`PreparedScatter::restage`]) refreshes the image in place when the
-//! payload changes; [`PreparedScatter::retire`] returns the buffer to the
-//! arena pool.
+//! plan (once, usually [`crate::Communicator::plan_cached`]) → fuse (once)
+//! → execute ×N.
 
 use std::sync::Arc;
 
 use pim_sim::geometry::DimmGeometry;
-use pim_sim::{PimSystem, SystemArena};
+use pim_sim::PimSystem;
 
 use crate::config::Primitive;
 use crate::engine::plan::CollectivePlan;
-use crate::engine::{streaming, validate_host_in, Execution};
 use crate::error::{Error, Result};
 use crate::report::CommReport;
-
-/// A Scatter/Broadcast with its host payload validated and pre-staged
-/// into one per-cluster row image. See the module docs.
-pub struct PreparedScatter {
-    plan: Arc<CollectivePlan>,
-    /// The staged row image ([`streaming::stage_rows`] layout).
-    rows: Vec<u8>,
-    /// Base offset of each cluster's block in `rows`, in plan order.
-    offsets: Vec<usize>,
-}
-
-impl PreparedScatter {
-    fn check_plan(plan: &CollectivePlan) -> Result<()> {
-        if !matches!(plan.primitive(), Primitive::Scatter | Primitive::Broadcast) {
-            return Err(Error::InvalidHostData(format!(
-                "{} takes no host input rows; only Scatter and Broadcast can be prepared",
-                plan.primitive()
-            )));
-        }
-        Ok(())
-    }
-
-    fn validate(plan: &CollectivePlan, host_in: &[Vec<u8>]) -> Result<()> {
-        Self::check_plan(plan)?;
-        validate_host_in(
-            plan.primitive,
-            plan.spec.bytes_per_node,
-            plan.n,
-            plan.num_groups,
-            Some(host_in),
-        )
-    }
-
-    /// Validates `host_in` against `plan` and stages its rows into a
-    /// fresh image.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::InvalidHostData`] for non-rooted-send plans or host
-    /// buffers of the wrong count/size.
-    pub fn stage(plan: Arc<CollectivePlan>, host_in: &[Vec<u8>]) -> Result<Self> {
-        Self::validate(&plan, host_in)?;
-        let mut rows = vec![0u8; streaming::staged_len(&plan)];
-        let offsets = streaming::stage_rows(&plan, host_in, &mut rows);
-        Ok(Self {
-            plan,
-            rows,
-            offsets,
-        })
-    }
-
-    /// As [`PreparedScatter::stage`], with the image checked out of
-    /// `arena`'s byte pool instead of freshly allocated — pair with
-    /// [`PreparedScatter::retire`] so iteration-heavy sweeps reuse one
-    /// allocation across cells.
-    ///
-    /// # Errors
-    ///
-    /// As [`PreparedScatter::stage`].
-    pub fn stage_in(
-        plan: Arc<CollectivePlan>,
-        host_in: &[Vec<u8>],
-        arena: &mut SystemArena,
-    ) -> Result<Self> {
-        Self::validate(&plan, host_in)?;
-        let mut rows = arena.raw_bytes(streaming::staged_len(&plan));
-        let offsets = streaming::stage_rows(&plan, host_in, &mut rows);
-        Ok(Self {
-            plan,
-            rows,
-            offsets,
-        })
-    }
-
-    /// Re-validates and re-stages a new payload into the existing image
-    /// (no reallocation): the warm path for loops whose payload changes
-    /// every iteration but whose plan does not.
-    ///
-    /// # Errors
-    ///
-    /// As [`PreparedScatter::stage`]; on error the image is unchanged.
-    pub fn restage(&mut self, host_in: &[Vec<u8>]) -> Result<()> {
-        Self::validate(&self.plan, host_in)?;
-        self.offsets = streaming::stage_rows(&self.plan, host_in, &mut self.rows);
-        Ok(())
-    }
-
-    /// The plan this payload was staged for.
-    pub fn plan(&self) -> &Arc<CollectivePlan> {
-        &self.plan
-    }
-
-    /// Executes the prepared collective: identical charging, fault
-    /// epoching and row landings to
-    /// [`CollectivePlan::execute_with_host`], minus the per-call
-    /// validation and row assembly.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::ShapeSystemMismatch`] on a geometry mismatch, plus the
-    /// fault-layer errors of any execution.
-    pub fn execute(&self, sys: &mut PimSystem) -> Result<CommReport> {
-        self.run(sys).map(|e| e.report)
-    }
-
-    /// Internal execute returning the full [`Execution`] (fused steps
-    /// and the recovery tier share it).
-    pub(crate) fn run(&self, sys: &mut PimSystem) -> Result<Execution> {
-        self.plan.check_geometry(sys)?;
-        self.plan.run_with(sys, |sys, sheet| {
-            match self.plan.primitive {
-                Primitive::Scatter => {
-                    streaming::scatter_prestaged(sys, sheet, &self.plan, &self.rows, &self.offsets);
-                }
-                Primitive::Broadcast => {
-                    streaming::broadcast_prestaged(
-                        sys,
-                        sheet,
-                        &self.plan,
-                        &self.rows,
-                        &self.offsets,
-                    );
-                }
-                _ => unreachable!("stage() admits only rooted sends"),
-            }
-            None
-        })
-    }
-
-    /// Rebuilds the original per-group host buffers from the staged image
-    /// (its exact inverse) — the degraded-recompute path's input, so
-    /// prepared execution never retains a second copy of `host_in`.
-    pub(crate) fn unstage(&self) -> Vec<Vec<u8>> {
-        streaming::unstage_rows(&self.plan, &self.rows, &self.offsets)
-    }
-
-    /// Returns the image buffer to `arena`'s byte pool.
-    pub fn retire(self, arena: &mut SystemArena) {
-        arena.recycle_bytes(self.rows);
-    }
-}
 
 /// Outcome of one fused-chain execution: per-step reports (bit-identical
 /// to issuing the plans separately) and the final step's host outputs.
@@ -202,8 +49,8 @@ pub struct FusedExecution {
     pub host_out: Option<Vec<Vec<u8>>>,
 }
 
-/// A chain of 2+ collectives over one geometry executed as a unit. See
-/// the module docs for the fusion contract.
+/// A chain of one or more collectives over one geometry executed as a
+/// unit. See the module docs for the chain contract.
 pub struct FusedPlan {
     steps: Vec<Arc<CollectivePlan>>,
     /// Merged union of every step's touched MRAM windows plus any
@@ -230,8 +77,8 @@ fn merge_regions(mut regs: Vec<(usize, usize)>) -> Vec<(usize, usize)> {
 }
 
 impl FusedPlan {
-    /// Fuses `steps` into one chain, validating the fusion contract:
-    /// ≥ 2 steps, one shared geometry, host-rooted sends only first,
+    /// Fuses `steps` into one chain, validating the chain contract:
+    /// ≥ 1 step, one shared geometry, host-rooted sends only first,
     /// host-rooted receives only last.
     ///
     /// # Errors
@@ -251,11 +98,10 @@ impl FusedPlan {
     ///
     /// As [`FusedPlan::new`].
     pub fn with_regions(steps: Vec<Arc<CollectivePlan>>, extra: &[(usize, usize)]) -> Result<Self> {
-        if steps.len() < 2 {
-            return Err(Error::InvalidHostData(format!(
-                "a fused plan chains at least 2 steps; got {}",
-                steps.len()
-            )));
+        if steps.is_empty() {
+            return Err(Error::InvalidHostData(
+                "a fused plan needs at least one step".into(),
+            ));
         }
         let geometry = steps[0].geometry;
         for step in &steps[1..] {
@@ -307,44 +153,30 @@ impl FusedPlan {
         &self.regions
     }
 
-    /// Executes the chain with no prepared input and no inter-step hooks
-    /// (the first step must not be host-rooted).
+    /// Executes the chain: step 0 with `host_in` (exactly as
+    /// [`CollectivePlan::execute_with_host`] takes it: `Some` when the
+    /// chain starts with a rooted send, `None` otherwise), then each
+    /// subsequent step directly over the previous step's in-MRAM output,
+    /// with `hook(k, sys)` run between step `k` and `k + 1` (host kernels
+    /// on the intermediate state). Each step charges and reports exactly
+    /// as a standalone execution of its plan.
     ///
     /// # Errors
     ///
-    /// As [`FusedPlan::execute_with`].
-    pub fn execute(&self, sys: &mut PimSystem) -> Result<FusedExecution> {
-        self.execute_with(sys, None, |_, _| Ok(()))
-    }
-
-    /// Executes the chain: step 0 from its [`PreparedScatter`] when the
-    /// chain starts with a rooted send, then each subsequent step directly
-    /// over the previous step's in-MRAM output, with `hook(k, sys)` run
-    /// between step `k` and `k + 1` (host kernels on the intermediate
-    /// state). Each step charges and reports exactly as a standalone
-    /// execution of its plan.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::InvalidHostData`] when `staged` does not match the first
-    /// step; otherwise as the individual plans' execute methods. A failed
-    /// step or hook leaves the chain partially executed — the verified
-    /// tier ([`crate::engine::recovery`]) rolls back and retries whole
-    /// chains.
+    /// As the individual plans' execute methods ([`Error::InvalidHostData`]
+    /// when `host_in` does not match step 0). A failed step or hook
+    /// leaves the chain partially executed — the verified tier
+    /// ([`crate::engine::recovery`]) rolls back and retries whole chains.
     pub fn execute_with(
         &self,
         sys: &mut PimSystem,
-        staged: Option<&PreparedScatter>,
+        host_in: Option<&[Vec<u8>]>,
         mut hook: impl FnMut(usize, &mut PimSystem) -> Result<()>,
     ) -> Result<FusedExecution> {
-        self.check_staged(staged)?;
         let mut reports = Vec::with_capacity(self.steps.len());
         let mut host_out = None;
         for (k, step) in self.steps.iter().enumerate() {
-            let exec = match (k, staged) {
-                (0, Some(prepared)) => prepared.run(sys)?,
-                _ => step.run(sys, None)?,
-            };
+            let exec = step.run(sys, if k == 0 { host_in } else { None })?;
             reports.push(exec.report);
             host_out = exec.host_out;
             if k + 1 < self.steps.len() {
@@ -352,32 +184,6 @@ impl FusedPlan {
             }
         }
         Ok(FusedExecution { reports, host_out })
-    }
-
-    /// Validates that `staged` matches the chain's first step: present
-    /// exactly when step 0 is a rooted send, and staged for that very
-    /// plan.
-    pub(crate) fn check_staged(&self, staged: Option<&PreparedScatter>) -> Result<()> {
-        let rooted = matches!(
-            self.steps[0].primitive(),
-            Primitive::Scatter | Primitive::Broadcast
-        );
-        match (rooted, staged) {
-            (true, None) => Err(Error::InvalidHostData(format!(
-                "fused chain starts with {}; pass its PreparedScatter",
-                self.steps[0].primitive()
-            ))),
-            (false, Some(_)) => Err(Error::InvalidHostData(
-                "fused chain starts with a non-rooted step; it takes no prepared input".into(),
-            )),
-            (true, Some(prepared)) if !Arc::ptr_eq(prepared.plan(), &self.steps[0]) => {
-                Err(Error::InvalidHostData(
-                    "prepared input was staged for a different plan than the chain's first step"
-                        .into(),
-                ))
-            }
-            _ => Ok(()),
-        }
     }
 }
 

@@ -1,10 +1,13 @@
-//! Verified execution: detect-and-recover around a collective plan.
+//! Verified execution: detect-and-recover around a chain of collectives.
 //!
-//! The MPI/ULFM-style layer over the plan/execute split: a
-//! [`crate::engine::plan::CollectivePlan`] is the natural unit to verify,
-//! retry and replan around, because the source region is never written
-//! during execution ([`crate::engine::validate_spec`] rejects overlapping
-//! buffers) — a failed attempt can always be re-run from intact inputs.
+//! The MPI/ULFM-style layer over the plan/execute split. Its one unit is
+//! a [`FusedPlan`] of one or more steps — a single collective is a chain
+//! of one ([`crate::Communicator::execute_verified`] forms it). A chain is
+//! the natural unit to verify, retry and replan around, because no step's
+//! source region is written by that step
+//! ([`crate::engine::validate_spec`] rejects overlapping buffers) and the
+//! rollback image covers everything the chain writes — a failed attempt
+//! can always be re-run from intact inputs.
 //!
 //! Three tiers, in escalation order:
 //!
@@ -15,45 +18,42 @@
 //!    no fault plan a landed byte cannot differ from its source, so
 //!    verification stays as the caller left it (a caller's own
 //!    [`PimSystem::set_verify_writes`] is preserved).
-//! 2. **Retry**: transient faults are epoch-keyed and each execution is one
-//!    epoch, so a bounded number of re-runs clears them. The failed
+//! 2. **Retry**: transient faults are epoch-keyed and each step execution
+//!    is one epoch, so a bounded number of re-runs clears them. The failed
 //!    attempt is first rolled back from a pre-execution image of the
-//!    plan's touched MRAM windows — phase-A reordering destructively
-//!    pre-rotates the sources in place, so a blind re-run would
-//!    double-permute them into silent garbage. The image is scoped to the
-//!    plan's validated source/destination extents (nothing else changes
-//!    during execution), not the whole MRAM. Each retry pays the failed
-//!    attempt's full modeled cost (already on the meter) plus a fixed
-//!    resynchronization setup (the [`CostSheet`] recovery counter).
+//!    chain's merged MRAM windows ([`FusedPlan::regions`]: every step's
+//!    source and destination extents plus hook-written extras) — phase-A
+//!    reordering destructively pre-rotates the sources in place, and a
+//!    mid-chain fault leaves earlier steps' landings committed, so a
+//!    blind re-run would compute silent garbage. The retry unit is the
+//!    whole chain: it re-runs from step 0, inter-step hooks included. Each
+//!    retry pays the failed attempt's full modeled cost (already on the
+//!    meter) plus a fixed resynchronization setup (the [`CostSheet`]
+//!    recovery counter).
 //! 3. **Degrade**: a *persistently* failed PE cannot be retried around.
-//!    The collective still completes: the host re-computes the semantics
-//!    directly (the [`crate::oracle`] reference path) from the members'
-//!    still-readable MRAM, lands results on the surviving PEs, and charges
-//!    the recomputation at word-granular host-modulation cost — degraded
+//!    The chain still completes: after restoring the chain-entry state,
+//!    the host re-computes each step's semantics directly (the
+//!    [`crate::oracle`] reference path) from the members' still-readable
+//!    MRAM, lands results on the surviving PEs, and charges the
+//!    recomputation at word-granular host-modulation cost — degraded
 //!    execution is visible in modeled time, never hidden. The dead PE's
 //!    outputs are dropped, and its *inputs* are taken from its bank as-is
 //!    (on UPMEM the host reaches a bank regardless of DPU health).
 //!
 //! Run-level supervision ([`crate::engine::supervisor`]) builds on these
 //! same pieces: its [`HealthLedger`] receives per-PE attribution of every
-//! detected fault, and PEs it has quarantined degrade up front via
-//! [`run_degraded`] instead of burning retries rediscovering them.
-//!
-//! Fused chains ([`FusedPlan`]) recover as one unit: the rollback image
-//! covers the chain's *merged* region list (every step's touched windows
-//! plus hook-written intermediates), so a fault detected mid-chain —
-//! after earlier steps already committed their landings — restores the
-//! chain-entry state in one [`PimSystem::restore_regions`] and re-runs
-//! from step 0 ([`run_verified_fused`]).
+//! detected fault, and a chain touching a PE it has quarantined degrades
+//! up front via [`run_degraded`] instead of burning retries rediscovering
+//! it.
 
 use pim_sim::{Breakdown, Checkpoint, FaultPlan, PimSystem};
 
 use crate::config::Primitive;
-use crate::engine::logical_volumes;
 use crate::engine::plan::CollectivePlan;
-use crate::engine::prepared::{FusedPlan, PreparedScatter};
+use crate::engine::prepared::FusedPlan;
 use crate::engine::sheet::CostSheet;
 use crate::engine::supervisor::HealthLedger;
+use crate::engine::{logical_volumes, Execution};
 use crate::error::{Error, Result};
 use crate::hypercube::HypercubeManager;
 use crate::oracle;
@@ -80,162 +80,83 @@ impl Default for RecoveryPolicy {
     }
 }
 
-/// Outcome of a verified execution: the report spans *all* attempts (a
-/// retried collective is visibly slower than a clean one), plus how much
-/// recovery it took.
+/// Outcome of a verified chain execution (a single collective is a chain
+/// of one step).
+///
+/// The report rule: `reports` are the per-step reports of the pass that
+/// committed, and `breakdown` spans every attempt plus recovery charges.
+/// On a clean first attempt each report is bit-identical to a standalone
+/// execution of its step and `breakdown` is the sum of their breakdowns;
+/// after a retry or a degradation only `breakdown` carries the failed
+/// attempts, the retry setups and the degraded recompute.
 #[derive(Debug, Clone)]
 pub struct VerifiedExecution {
-    /// Aggregate report over every attempt, including recovery charges.
-    pub report: CommReport,
-    /// Host output buffers (Gather/Reduce only), one per group.
-    pub host_out: Option<Vec<Vec<u8>>>,
-    /// Number of re-runs that were needed (0 on a clean first attempt).
-    pub retries: u32,
-    /// Whether the result was produced by degraded host-side recompute.
-    pub degraded: bool,
-}
-
-/// Outcome of a verified fused-chain execution: per-step reports from the
-/// committing pass plus an aggregate breakdown spanning every attempt.
-#[derive(Debug, Clone)]
-pub struct FusedVerifiedExecution {
-    /// One report per step from the pass that committed (bit-identical to
-    /// standalone executions on a clean first attempt).
+    /// One report per step from the pass that committed.
     pub reports: Vec<CommReport>,
     /// Aggregate modeled time across every attempt, including recovery
-    /// charges — equals the sum of the step breakdowns on a clean run.
+    /// charges.
     pub breakdown: Breakdown,
-    /// Host output buffers of a trailing Gather/Reduce step.
+    /// Host output buffers of a trailing Gather/Reduce step, one per group.
     pub host_out: Option<Vec<Vec<u8>>>,
-    /// Number of whole-chain re-runs that were needed.
+    /// Number of whole-chain re-runs that were needed (0 on a clean first
+    /// attempt).
     pub retries: u32,
     /// Whether the result was produced by degraded host-side recompute.
     pub degraded: bool,
 }
 
 /// Arms read-after-write verification for one recovery entry point:
-/// on when a fault plan is attached (the same condition [`capture`] uses
-/// for the rollback image) or when the caller already enabled it.
-/// Returns the caller's setting for the entry point to restore.
+/// on when a fault plan is attached (the same condition under which
+/// [`run_verified`] captures the rollback image) or when the caller
+/// already enabled it. Returns the caller's setting for the entry point
+/// to restore.
 fn arm_verify(sys: &mut PimSystem) -> bool {
     let prev = sys.verify_writes();
     sys.set_verify_writes(prev || sys.fault_plan().is_some());
     prev
 }
 
-/// Captures the pre-execution rollback image: the plan's touched MRAM
-/// windows only (source extent — phase-A reordering is destructive in
-/// place — plus destination extent), captured only when a fault plan is
-/// attached, so the clean path never pays for the copy.
-fn capture(sys: &PimSystem, plan: &CollectivePlan) -> Checkpoint {
+/// Captures the pre-execution rollback image over the chain's merged
+/// region list — every step's touched windows plus the hook-written
+/// extras, so a fault in step *k* rolls back steps `0..k`'s landings, the
+/// hooks' intermediate writes and step *k*'s permuted sources in one
+/// restore.
+fn capture(sys: &PimSystem, chain: &FusedPlan) -> Checkpoint {
     let mut ckpt = Checkpoint::new();
-    sys.checkpoint_regions(&plan.touched_regions(), &mut ckpt);
+    sys.checkpoint_regions(chain.regions(), &mut ckpt);
     ckpt
 }
 
-/// As [`capture`], over a fused chain's merged region list — every step's
-/// touched windows plus the hook-written extras, so a fault in step *k*
-/// rolls back steps `0..k`'s landings and the hooks' intermediate writes
-/// in one restore.
-fn capture_fused(sys: &PimSystem, fused: &FusedPlan) -> Checkpoint {
-    let mut ckpt = Checkpoint::new();
-    sys.checkpoint_regions(fused.regions(), &mut ckpt);
-    ckpt
-}
-
-/// Runs `plan` with verification armed ([`arm_verify`]), retrying
+/// Runs `chain` with verification armed ([`arm_verify`]), retrying
 /// transient faults and degrading around persistent PE failures per
-/// `policy`.
+/// `policy`. `host_in` feeds step 0 (see [`FusedPlan::execute_with`]);
+/// `hook(k, sys)` runs between steps `k` and `k + 1` of every pass.
+///
+/// With `ledger`, every detected fault (corruption, stuck detection,
+/// retry, persistent failure) is attributed to its PE, so run-level
+/// supervision can quarantine repeat offenders. A retry re-runs
+/// inter-step hooks too, which is safe by the chain contract (hooks
+/// derive everything they write from host state plus covered regions).
+/// The rollback image is captured only while a fault plan is attached,
+/// so with no fault plan this is byte- and modeled-bit-identical to
+/// [`FusedPlan::execute_with`].
 pub(crate) fn run_verified(
     sys: &mut PimSystem,
     manager: &HypercubeManager,
-    plan: &CollectivePlan,
+    chain: &FusedPlan,
     host_in: Option<&[Vec<u8>]>,
-    policy: &RecoveryPolicy,
-) -> Result<VerifiedExecution> {
-    run_verified_tracked(sys, manager, plan, host_in, policy, None)
-}
-
-/// As [`run_verified`], but additionally attributing every detected fault
-/// (corruption, stuck detection, retry, persistent failure) to its PE in
-/// `ledger`, so run-level supervision can quarantine repeat offenders.
-pub(crate) fn run_verified_tracked(
-    sys: &mut PimSystem,
-    manager: &HypercubeManager,
-    plan: &CollectivePlan,
-    host_in: Option<&[Vec<u8>]>,
-    policy: &RecoveryPolicy,
-    ledger: Option<&mut HealthLedger>,
-) -> Result<VerifiedExecution> {
-    let before = sys.meter();
-    let prev = arm_verify(sys);
-    let snapshot = sys.fault_plan().is_some().then(|| capture(sys, plan));
-    let result = drive(
-        sys,
-        manager,
-        plan,
-        host_in,
-        policy,
-        &before,
-        snapshot.as_ref(),
-        ledger,
-    );
-    sys.set_verify_writes(prev);
-    result
-}
-
-/// Degrades `plan` up front, without attempting a normal execution —
-/// the run-level supervisor's path for plans whose members include
-/// already-quarantined PEs. Writes additionally skip every quarantined PE
-/// (its transport is known-bad; landing bytes there would only re-detect
-/// what the ledger already knows).
-pub(crate) fn run_degraded(
-    sys: &mut PimSystem,
-    manager: &HypercubeManager,
-    plan: &CollectivePlan,
-    host_in: Option<&[Vec<u8>]>,
-    ledger: &HealthLedger,
-) -> Result<VerifiedExecution> {
-    let before = sys.meter();
-    let prev = arm_verify(sys);
-    let result = degrade(sys, manager, plan, host_in, &before, 0, Some(ledger));
-    sys.set_verify_writes(prev);
-    result
-}
-
-/// Runs a fused chain with verification armed ([`arm_verify`]), retrying
-/// transient faults and degrading around persistent PE failures per
-/// `policy`.
-///
-/// The retry unit is the **whole chain**: a fault in step *k* restores
-/// the chain's merged rollback regions (all steps' touched windows plus
-/// hook-written extras), charges one resynchronization setup, and
-/// re-runs from step 0 — inter-step hooks re-run too, which is safe by
-/// the fusion contract (hooks derive everything they write from host
-/// state plus covered regions). With no fault plan attached this is
-/// byte- and modeled-bit-identical to [`FusedPlan::execute_with`].
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_verified_fused(
-    sys: &mut PimSystem,
-    manager: &HypercubeManager,
-    fused: &FusedPlan,
-    staged: Option<&PreparedScatter>,
     policy: &RecoveryPolicy,
     ledger: Option<&mut HealthLedger>,
     hook: impl FnMut(usize, &mut PimSystem) -> Result<()>,
-) -> Result<FusedVerifiedExecution> {
-    fused.check_staged(staged)?;
+) -> Result<VerifiedExecution> {
     let before = sys.meter();
     let prev = arm_verify(sys);
-    let snapshot = sys
-        .fault_plan()
-        .is_some()
-        .then(|| capture_fused(sys, fused));
-    let result = drive_fused(
+    let snapshot = sys.fault_plan().is_some().then(|| capture(sys, chain));
+    let result = drive(
         sys,
         manager,
-        fused,
-        staged,
+        chain,
+        host_in,
         policy,
         &before,
         snapshot.as_ref(),
@@ -246,42 +167,44 @@ pub(crate) fn run_verified_fused(
     result
 }
 
-/// Degrades a fused chain up front (the supervisor's path for chains
-/// whose members include already-quarantined PEs): every step runs as
-/// host-side oracle recompute, hooks run between steps as usual.
-pub(crate) fn run_degraded_fused(
+/// Degrades `chain` up front, without attempting a normal execution —
+/// the run-level supervisor's path for chains whose members include
+/// already-quarantined PEs: every step runs as host-side oracle
+/// recompute, hooks run between steps as usual. Writes additionally skip
+/// every quarantined PE (its transport is known-bad; landing bytes there
+/// would only re-detect what the ledger already knows).
+pub(crate) fn run_degraded(
     sys: &mut PimSystem,
     manager: &HypercubeManager,
-    fused: &FusedPlan,
-    staged: Option<&PreparedScatter>,
+    chain: &FusedPlan,
+    host_in: Option<&[Vec<u8>]>,
     ledger: &HealthLedger,
     hook: impl FnMut(usize, &mut PimSystem) -> Result<()>,
-) -> Result<FusedVerifiedExecution> {
-    fused.check_staged(staged)?;
+) -> Result<VerifiedExecution> {
     let before = sys.meter();
     let prev = arm_verify(sys);
-    let result = degrade_fused(sys, manager, fused, staged, &before, 0, Some(ledger), hook);
+    let result = degrade_chain(sys, manager, chain, host_in, &before, 0, Some(ledger), hook);
     sys.set_verify_writes(prev);
     result
 }
 
 #[allow(clippy::too_many_arguments)]
-fn drive_fused(
+fn drive(
     sys: &mut PimSystem,
     manager: &HypercubeManager,
-    fused: &FusedPlan,
-    staged: Option<&PreparedScatter>,
+    chain: &FusedPlan,
+    host_in: Option<&[Vec<u8>]>,
     policy: &RecoveryPolicy,
     before: &Breakdown,
     snapshot: Option<&Checkpoint>,
     mut ledger: Option<&mut HealthLedger>,
     mut hook: impl FnMut(usize, &mut PimSystem) -> Result<()>,
-) -> Result<FusedVerifiedExecution> {
+) -> Result<VerifiedExecution> {
     let mut retries = 0u32;
     loop {
-        match fused.execute_with(sys, staged, &mut hook) {
+        match chain.execute_with(sys, host_in, &mut hook) {
             Ok(exec) => {
-                return Ok(FusedVerifiedExecution {
+                return Ok(VerifiedExecution {
                     reports: exec.reports,
                     breakdown: sys.meter().since(before),
                     host_out: exec.host_out,
@@ -304,17 +227,17 @@ fn drive_fused(
                 }
                 if persistent {
                     if policy.degrade {
-                        // The failed pass left partial step landings and
-                        // possibly permuted sources; the oracle needs the
-                        // chain-entry state back.
+                        // The failed pass may have left partial step
+                        // landings and permuted sources; the oracle needs
+                        // the chain-entry state back.
                         if let Some(img) = snapshot {
                             sys.restore_regions(img);
                         }
-                        return degrade_fused(
+                        return degrade_chain(
                             sys,
                             manager,
-                            fused,
-                            staged,
+                            chain,
+                            host_in,
                             before,
                             retries,
                             ledger.as_deref(),
@@ -340,141 +263,6 @@ fn drive_fused(
                 {
                     ledger.record_retry(*pe);
                 }
-                let mut sheet = CostSheet::new(sys.geometry().channels());
-                sheet.recovery_retries = 1; // simlint: allow(cost-sheet, reason = "fault-recovery surcharge outside the plan's cost model by design; cost-only execution models the fault-free run")
-                sheet.apply(sys);
-            }
-            Err(err) => return Err(err),
-        }
-    }
-}
-
-/// Graceful degradation of a fused chain: each step recomputes host-side
-/// (as [`degrade`]), with the inter-step hooks between them. Step 0 of a
-/// rooted-send chain rebuilds its original host buffers from the staged
-/// image ([`PreparedScatter::unstage`]).
-#[allow(clippy::too_many_arguments)]
-fn degrade_fused(
-    sys: &mut PimSystem,
-    manager: &HypercubeManager,
-    fused: &FusedPlan,
-    staged: Option<&PreparedScatter>,
-    before: &Breakdown,
-    retries: u32,
-    quarantine: Option<&HealthLedger>,
-    mut hook: impl FnMut(usize, &mut PimSystem) -> Result<()>,
-) -> Result<FusedVerifiedExecution> {
-    let mut reports = Vec::with_capacity(fused.steps().len());
-    let mut host_out = None;
-    for (k, step) in fused.steps().iter().enumerate() {
-        let host_in = if k == 0 {
-            staged.map(PreparedScatter::unstage)
-        } else {
-            None
-        };
-        let step_before = sys.meter();
-        let exec = degrade(
-            sys,
-            manager,
-            step,
-            host_in.as_deref(),
-            &step_before,
-            0,
-            quarantine,
-        )?;
-        reports.push(exec.report);
-        host_out = exec.host_out;
-        if k + 1 < fused.steps().len() {
-            hook(k, sys)?;
-        }
-    }
-    Ok(FusedVerifiedExecution {
-        reports,
-        breakdown: sys.meter().since(before),
-        host_out,
-        retries,
-        degraded: true,
-    })
-}
-
-#[allow(clippy::too_many_arguments)]
-fn drive(
-    sys: &mut PimSystem,
-    manager: &HypercubeManager,
-    plan: &CollectivePlan,
-    host_in: Option<&[Vec<u8>]>,
-    policy: &RecoveryPolicy,
-    before: &pim_sim::Breakdown,
-    snapshot: Option<&Checkpoint>,
-    mut ledger: Option<&mut HealthLedger>,
-) -> Result<VerifiedExecution> {
-    let mut retries = 0u32;
-    loop {
-        match plan.run(sys, host_in) {
-            Ok(exec) => {
-                let mut report = exec.report;
-                // Span all attempts: a clean first attempt reproduces the
-                // unverified breakdown bit-for-bit (nothing else charged
-                // between `before` and the run), while a recovered one
-                // carries every failed attempt plus the retry setups.
-                report.breakdown = sys.meter().since(before);
-                return Ok(VerifiedExecution {
-                    report,
-                    host_out: exec.host_out,
-                    retries,
-                    degraded: false,
-                });
-            }
-            Err(err @ (Error::DataCorruption { .. } | Error::PeFailed { .. })) => {
-                let persistent = match (&err, sys.fault_plan()) {
-                    (Error::PeFailed { pe, .. }, Some(fp)) => fp.pe_failed_persistent(*pe),
-                    _ => false,
-                };
-                if let Some(ledger) = ledger.as_deref_mut() {
-                    match &err {
-                        Error::DataCorruption { pe, .. } => ledger.record_corruption(*pe),
-                        Error::PeFailed { pe, .. } if persistent => ledger.record_failure(*pe),
-                        Error::PeFailed { pe, .. } => ledger.record_stuck(*pe),
-                        _ => unreachable!("matched above"),
-                    }
-                }
-                if persistent {
-                    if policy.degrade {
-                        // Failed transient attempts (if any) permuted the
-                        // sources; the oracle needs them pristine.
-                        if retries > 0 {
-                            if let Some(img) = snapshot {
-                                sys.restore_regions(img);
-                            }
-                        }
-                        return degrade(
-                            sys,
-                            manager,
-                            plan,
-                            host_in,
-                            before,
-                            retries,
-                            ledger.as_deref(),
-                        );
-                    }
-                    return Err(err);
-                }
-                if retries >= policy.max_retries {
-                    return Err(err);
-                }
-                // Roll the failed attempt back — phase A destroyed the
-                // sources — then re-run under a fresh fault epoch.
-                if let Some(img) = snapshot {
-                    sys.restore_regions(img);
-                }
-                retries += 1;
-                if let (
-                    Some(ledger),
-                    Error::DataCorruption { pe, .. } | Error::PeFailed { pe, .. },
-                ) = (ledger.as_deref_mut(), &err)
-                {
-                    ledger.record_retry(*pe);
-                }
                 // The failed attempt's work is already on the meter; the
                 // retry additionally pays one resynchronization setup,
                 // tallied on the dedicated recovery counter.
@@ -487,25 +275,59 @@ fn drive(
     }
 }
 
+/// Graceful degradation of a whole chain: each step recomputes host-side
+/// ([`degrade`]), with the inter-step hooks between them.
+#[allow(clippy::too_many_arguments)]
+fn degrade_chain(
+    sys: &mut PimSystem,
+    manager: &HypercubeManager,
+    chain: &FusedPlan,
+    host_in: Option<&[Vec<u8>]>,
+    before: &Breakdown,
+    retries: u32,
+    quarantine: Option<&HealthLedger>,
+    mut hook: impl FnMut(usize, &mut PimSystem) -> Result<()>,
+) -> Result<VerifiedExecution> {
+    let steps = chain.steps();
+    let mut reports = Vec::with_capacity(steps.len());
+    let mut host_out = None;
+    for (k, step) in steps.iter().enumerate() {
+        let host_in = if k == 0 { host_in } else { None };
+        let exec = degrade(sys, manager, step, host_in, quarantine)?;
+        reports.push(exec.report);
+        host_out = exec.host_out;
+        if k + 1 < steps.len() {
+            hook(k, sys)?;
+        }
+    }
+    Ok(VerifiedExecution {
+        reports,
+        breakdown: sys.meter().since(before),
+        host_out,
+        retries,
+        degraded: true,
+    })
+}
+
 /// Whether `pe` is stuck under the attached fault plan (if any).
 fn is_stuck(fault: Option<&FaultPlan>, pe: pim_sim::PeId) -> bool {
     fault.is_some_and(|fp| fp.pe_stuck(pe.index() as u32))
 }
 
-/// Graceful degradation: the host recomputes the collective's semantics
-/// directly from the members' MRAM (the oracle reference path), landing
-/// results on every non-stuck PE — additionally skipping PEs the given
-/// ledger (if any) has quarantined. The moved bytes are charged to the
-/// [`CostSheet`] recovery counter at word-granular host-modulation cost.
+/// Graceful degradation of one step: the host recomputes the collective's
+/// semantics directly from the members' MRAM (the oracle reference path),
+/// landing results on every non-stuck PE — additionally skipping PEs the
+/// given ledger (if any) has quarantined. The moved bytes are charged to
+/// the [`CostSheet`] recovery counter at word-granular host-modulation
+/// cost; the step's report spans exactly that recompute.
 fn degrade(
     sys: &mut PimSystem,
     manager: &HypercubeManager,
     plan: &CollectivePlan,
     host_in: Option<&[Vec<u8>]>,
-    before: &pim_sim::Breakdown,
-    retries: u32,
     quarantine: Option<&HealthLedger>,
-) -> Result<VerifiedExecution> {
+) -> Result<Execution> {
+    let before = sys.meter();
     let groups = manager.groups(&plan.mask)?;
     let b = plan.spec.bytes_per_node;
     let n = plan.n;
@@ -587,18 +409,16 @@ fn degrade(
 
     let (bytes_in, bytes_out) =
         logical_volumes(plan.primitive, b, n, plan.num_nodes, plan.num_groups);
-    Ok(VerifiedExecution {
+    Ok(Execution {
         report: CommReport {
             primitive: plan.primitive,
             opt: plan.opt,
-            breakdown: sys.meter().since(before),
+            breakdown: sys.meter().since(&before),
             bytes_in,
             bytes_out,
             group_size: n,
             num_groups: plan.num_groups,
         },
         host_out,
-        retries,
-        degraded: true,
     })
 }

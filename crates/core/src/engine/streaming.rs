@@ -63,7 +63,6 @@ use std::collections::HashMap;
 use pim_sim::domain::{LanePerm, IDENTITY_PERM};
 use pim_sim::dtype::{fill_identity, DType, ReduceKind};
 use pim_sim::geometry::{BURST_BYTES, LANES};
-use pim_sim::kernels;
 use pim_sim::system::EgView;
 use pim_sim::PimSystem;
 
@@ -192,9 +191,6 @@ struct ClusterTask<'c, 'v> {
     sheet: CostSheet,
     cluster: &'c EgCluster,
     sched: &'c ClusterSched,
-    /// Index of the cluster in plan order (keys per-cluster prepared
-    /// staging offsets).
-    index: usize,
     /// `(group_id, buffer)` pairs produced by Gather/Reduce.
     out: Vec<(usize, Vec<u8>)>,
 }
@@ -238,7 +234,6 @@ fn run_clustered(
             sheet: CostSheet::new(channels),
             cluster,
             sched: sched_of(i),
-            index: i,
             out: Vec::new(),
         })
         .collect();
@@ -792,201 +787,6 @@ pub(crate) fn broadcast(
             task.view
                 .write_rows(m_d, dst, bytes_per_node, &rows, &IDENTITY_PERM);
         }
-    });
-    sheet.transfer_phases += 1;
-}
-
-/// Total staged-row bytes a prepared execution of `plan` needs: one
-/// `LANES * bytes_per_node` row block per destination part of every
-/// cluster for Scatter, one per cluster for Broadcast (the block is
-/// written to every part unchanged).
-pub(crate) fn staged_len(plan: &CollectivePlan) -> usize {
-    let b = plan.spec.bytes_per_node;
-    match plan.primitive {
-        Primitive::Scatter => plan.clusters.iter().map(|c| c.eg_count() * LANES * b).sum(),
-        Primitive::Broadcast => plan.clusters.len() * LANES * b,
-        _ => 0,
-    }
-}
-
-/// Assembles the per-group host buffers of a Scatter/Broadcast into the
-/// prepared row image `buf` (length [`staged_len`]), returning the base
-/// offset of each cluster's block in plan order.
-///
-/// This is exactly the row assembly the per-call executors perform —
-/// lane `lane` of destination part `m_d` sources rank `i + l * m_d` of
-/// its group's host buffer — hoisted to prepare time, in the same
-/// part-major order (each `LANES * b` block is assembled front to back,
-/// so writes stay cache-local instead of striding the whole image once
-/// per lane). Lane rows no group covers are zeroed explicitly, which
-/// keeps the image byte-identical to the executors' fresh
-/// `vec![0u8; ..]` row staging whatever `buf` held before — recycled
-/// arena buffers and `restage` over a previous payload need no
-/// whole-image clear first.
-pub(crate) fn stage_rows(plan: &CollectivePlan, host_in: &[Vec<u8>], buf: &mut [u8]) -> Vec<usize> {
-    let b = plan.spec.bytes_per_node;
-    let mut offsets = Vec::with_capacity(plan.clusters.len());
-    let mut base = 0usize;
-    for c in &plan.clusters {
-        offsets.push(base);
-        let (l, m) = (c.lane_count, c.eg_count());
-        let mut covered = [false; LANES];
-        for g in &c.groups {
-            for &lane in &g.lanes {
-                covered[lane] = true;
-            }
-        }
-        match plan.primitive {
-            Primitive::Scatter => {
-                for m_d in 0..m {
-                    let block = base + m_d * LANES * b;
-                    for (lane, cov) in covered.iter().enumerate() {
-                        if !cov {
-                            buf[block + lane * b..block + (lane + 1) * b].fill(0);
-                        }
-                    }
-                    for g in &c.groups {
-                        let src = &host_in[g.group_id];
-                        for (i, &lane) in g.lanes.iter().enumerate() {
-                            let rank = i + l * m_d;
-                            buf[block + lane * b..block + (lane + 1) * b]
-                                .copy_from_slice(&src[rank * b..(rank + 1) * b]);
-                        }
-                    }
-                }
-                base += m * LANES * b;
-            }
-            Primitive::Broadcast => {
-                for (lane, cov) in covered.iter().enumerate() {
-                    if !cov {
-                        buf[base + lane * b..base + (lane + 1) * b].fill(0);
-                    }
-                }
-                for g in &c.groups {
-                    for &lane in &g.lanes {
-                        buf[base + lane * b..base + (lane + 1) * b]
-                            .copy_from_slice(&host_in[g.group_id][..b]);
-                    }
-                }
-                base += LANES * b;
-            }
-            _ => unreachable!("stage_rows only stages Scatter/Broadcast plans"),
-        }
-    }
-    offsets
-}
-
-/// Rebuilds the per-group host buffers from a prepared row image — the
-/// exact inverse of [`stage_rows`] (staging is a pure byte permutation,
-/// so no information is lost). Only the degraded-recompute path uses
-/// this (the oracle needs the original rank-ordered buffers), which is
-/// what lets [`super::prepared::PreparedScatter`] drop `host_in` after
-/// staging instead of retaining a second copy.
-pub(crate) fn unstage_rows(
-    plan: &CollectivePlan,
-    staged: &[u8],
-    offsets: &[usize],
-) -> Vec<Vec<u8>> {
-    let b = plan.spec.bytes_per_node;
-    let per_group = match plan.primitive {
-        Primitive::Scatter => plan.n * b,
-        Primitive::Broadcast => b,
-        _ => unreachable!("unstage_rows only reads Scatter/Broadcast images"),
-    };
-    let mut host: Vec<Vec<u8>> = vec![vec![0u8; per_group]; plan.num_groups];
-    for (ci, c) in plan.clusters.iter().enumerate() {
-        let base = offsets[ci];
-        let (l, m) = (c.lane_count, c.eg_count());
-        match plan.primitive {
-            Primitive::Scatter => {
-                for g in &c.groups {
-                    for (i, &lane) in g.lanes.iter().enumerate() {
-                        kernels::copy_rows(
-                            &mut host[g.group_id],
-                            i * b,
-                            l * b,
-                            staged,
-                            base + lane * b,
-                            LANES * b,
-                            b,
-                            m,
-                        );
-                    }
-                }
-            }
-            Primitive::Broadcast => {
-                // Every lane of the group carries the same bytes; the
-                // first is as good as any.
-                for g in &c.groups {
-                    let lane = g.lanes[0];
-                    host[g.group_id]
-                        .copy_from_slice(&staged[base + lane * b..base + (lane + 1) * b]);
-                }
-            }
-            _ => unreachable!("matched above"),
-        }
-    }
-    host
-}
-
-/// Scatter from a prepared row image: identical charging and row writes
-/// to [`scatter`], with the per-call assembly replaced by slicing the
-/// image staged once by [`stage_rows`]. Byte- and bit-identical to the
-/// unprepared path by construction.
-pub(crate) fn scatter_prestaged(
-    sys: &mut PimSystem,
-    sheet: &mut CostSheet,
-    plan: &CollectivePlan,
-    staged: &[u8],
-    offsets: &[usize],
-) {
-    let dst = plan.spec.dst_offset;
-    let b = plan.spec.bytes_per_node;
-
-    run_clustered(sys, sheet, plan, |task| {
-        let c = task.cluster;
-        let m = c.eg_count();
-        let base = offsets[task.index];
-        charge_cluster(&mut task.sheet, plan, c);
-        // simlint: hot(begin, prestaged scatter landing)
-        for m_d in 0..m {
-            let block = base + m_d * LANES * b;
-            task.view.write_rows(
-                m_d,
-                dst,
-                b,
-                &staged[block..block + LANES * b],
-                &IDENTITY_PERM,
-            );
-        }
-        // simlint: hot(end)
-    });
-    sheet.transfer_phases += 1;
-}
-
-/// Broadcast from a prepared row image: identical charging and row
-/// writes to [`broadcast`], assembly replaced by the staged image.
-pub(crate) fn broadcast_prestaged(
-    sys: &mut PimSystem,
-    sheet: &mut CostSheet,
-    plan: &CollectivePlan,
-    staged: &[u8],
-    offsets: &[usize],
-) {
-    let dst = plan.spec.dst_offset;
-    let b = plan.spec.bytes_per_node;
-
-    run_clustered(sys, sheet, plan, |task| {
-        let c = task.cluster;
-        let m = c.eg_count();
-        let base = offsets[task.index];
-        charge_cluster(&mut task.sheet, plan, c);
-        // simlint: hot(begin, prestaged broadcast landing)
-        let rows = &staged[base..base + LANES * b];
-        for m_d in 0..m {
-            task.view.write_rows(m_d, dst, b, rows, &IDENTITY_PERM);
-        }
-        // simlint: hot(end)
     });
     sheet.transfer_phases += 1;
 }

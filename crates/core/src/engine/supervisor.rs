@@ -1,17 +1,18 @@
 //! Run-level resilience: health ledger, iteration checkpoints and
-//! deadline budgets over the per-plan recovery tier.
+//! deadline budgets over the per-chain recovery tier.
 //!
-//! [`crate::engine::recovery`] makes a *single plan execution* survive
-//! faults; the paper's applications run tens-to-hundreds of iterations,
-//! and a mid-run fault previously either burned per-plan retries with no
-//! memory of which PEs keep failing, or propagated and killed the run.
+//! [`crate::engine::recovery`] makes a *single chain execution* (one
+//! collective, or a fused chain of them) survive faults; the paper's
+//! applications run tens-to-hundreds of iterations, and a mid-run fault
+//! previously either burned per-chain retries with no memory of which PEs
+//! keep failing, or propagated and killed the run.
 //! This module is the MPI-ULFM / checkpoint-restart shape of fault
 //! tolerance lifted onto the deterministic chaos substrate:
 //!
 //! * A [`HealthLedger`] accumulates per-PE fault history across epochs —
 //!   corruptions, retries, stuck detections, persistent failures — and
 //!   **quarantines** PEs whose weighted score crosses the policy
-//!   threshold. Later plans with quarantined members degrade around them
+//!   threshold. Later chains with quarantined members degrade around them
 //!   up front ([`crate::engine::recovery::run_degraded`]) instead of
 //!   rediscovering the bad PE through failed retries.
 //! * **Iteration checkpoints**: apps snapshot only their live MRAM
@@ -33,13 +34,14 @@
 //! time are reproducible bit-for-bit under a fixed seed.
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use pim_sim::{CorruptionEvent, PimSystem, SystemArena};
 
 use crate::comm::Communicator;
 use crate::engine::plan::CollectivePlan;
-use crate::engine::prepared::{FusedPlan, PreparedScatter};
-use crate::engine::recovery::{self, FusedVerifiedExecution, RecoveryPolicy, VerifiedExecution};
+use crate::engine::prepared::FusedPlan;
+use crate::engine::recovery::{self, RecoveryPolicy, VerifiedExecution};
 use crate::engine::sheet::CostSheet;
 use crate::error::{Error, Result};
 
@@ -446,91 +448,62 @@ pub struct Attempt<'a> {
 }
 
 impl Attempt<'_> {
-    /// Executes `plan` with verification, ledger attribution and
-    /// quarantine: plans whose groups include a quarantined PE degrade up
-    /// front instead of burning retries rediscovering it; otherwise the
-    /// plan runs under the per-collective recovery policy, clamped to the
-    /// run's remaining retry budget.
+    /// Executes one collective: forms the one-step chain of `plan` and
+    /// runs it through [`Attempt::fused`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Attempt::fused`].
+    pub fn collective(
+        &mut self,
+        comm: &Communicator,
+        sys: &mut PimSystem,
+        plan: &Arc<CollectivePlan>,
+        host_in: Option<&[Vec<u8>]>,
+    ) -> Result<VerifiedExecution> {
+        let chain = FusedPlan::new(vec![Arc::clone(plan)])?;
+        self.fused(comm, sys, &chain, host_in, |_, _| Ok(()))
+    }
+
+    /// Executes a chain with verification, ledger attribution and
+    /// quarantine: a chain whose steps touch a quarantined PE degrades
+    /// step by step up front instead of burning retries rediscovering it;
+    /// otherwise the whole chain runs under the per-collective recovery
+    /// policy (the retry unit is the chain), clamped to the run's
+    /// remaining retry budget. `host_in` feeds step 0 and `hook` runs
+    /// between steps, as in [`FusedPlan::execute_with`].
     ///
     /// # Errors
     ///
     /// Surfaces the recovery tier's typed fault errors (for the
     /// supervisor's iteration retry loop to consume) and any validation
-    /// error from the plan itself.
-    pub fn collective(
-        &mut self,
-        comm: &Communicator,
-        sys: &mut PimSystem,
-        plan: &CollectivePlan,
-        host_in: Option<&[Vec<u8>]>,
-    ) -> Result<VerifiedExecution> {
-        // Staging writes since the last boundary may have left corruption
-        // records; surface healthy PEs' now (attributed, so the iteration
-        // retry can roll back) rather than letting the plan blame them on
-        // itself mid-flight.
-        if let Some(err) = residual_fault(sys, self.ledger, self.events) {
-            return Err(err);
-        }
-        // Quarantine: a plan touching a known-bad PE degrades up front.
-        if self.touches_quarantined(comm, [plan])? {
-            *self.degraded = true;
-            return recovery::run_degraded(sys, comm.manager(), plan, host_in, self.ledger);
-        }
-        let attempt = self.plan_attempt();
-        let exec = recovery::run_verified_tracked(
-            sys,
-            comm.manager(),
-            plan,
-            host_in,
-            &attempt,
-            Some(self.ledger),
-        )?;
-        *self.retries_used += exec.retries;
-        *self.degraded |= exec.degraded;
-        Ok(exec)
-    }
-
-    /// Executes a fused chain with verification, ledger attribution and
-    /// quarantine — the chain-level analogue of [`Attempt::collective`]:
-    /// a chain whose steps touch a quarantined PE degrades step-by-step
-    /// up front; otherwise the whole chain runs under the per-collective
-    /// recovery policy (the retry unit is the chain), clamped to the
-    /// run's remaining retry budget.
-    ///
-    /// # Errors
-    ///
-    /// As [`Attempt::collective`], plus the fused-plan validation errors
-    /// (staged input mismatch).
+    /// error from the steps themselves.
     pub fn fused(
         &mut self,
         comm: &Communicator,
         sys: &mut PimSystem,
-        fused: &FusedPlan,
-        staged: Option<&PreparedScatter>,
+        chain: &FusedPlan,
+        host_in: Option<&[Vec<u8>]>,
         hook: impl FnMut(usize, &mut PimSystem) -> Result<()>,
-    ) -> Result<FusedVerifiedExecution> {
+    ) -> Result<VerifiedExecution> {
+        // Staging writes since the last boundary may have left corruption
+        // records; surface healthy PEs' now (attributed, so the iteration
+        // retry can roll back) rather than letting the chain blame them on
+        // itself mid-flight.
         if let Some(err) = residual_fault(sys, self.ledger, self.events) {
             return Err(err);
         }
-        // Quarantine: a chain whose steps touch a known-bad PE degrades up
-        // front, step by step, exactly as its unfused collectives would.
-        if self.touches_quarantined(comm, fused.steps().iter().map(|s| &**s))? {
+        // Quarantine: a chain touching a known-bad PE degrades up front.
+        if self.touches_quarantined(comm, chain)? {
             *self.degraded = true;
-            return recovery::run_degraded_fused(
-                sys,
-                comm.manager(),
-                fused,
-                staged,
-                self.ledger,
-                hook,
-            );
+            return recovery::run_degraded(sys, comm.manager(), chain, host_in, self.ledger, hook);
         }
         let attempt = self.plan_attempt();
-        let exec = recovery::run_verified_fused(
+        let exec = recovery::run_verified(
             sys,
             comm.manager(),
-            fused,
-            staged,
+            chain,
+            host_in,
             &attempt,
             Some(self.ledger),
             hook,
@@ -540,16 +513,12 @@ impl Attempt<'_> {
         Ok(exec)
     }
 
-    /// Whether any group of any of `plans` includes a quarantined PE.
-    fn touches_quarantined<'p>(
-        &self,
-        comm: &Communicator,
-        plans: impl IntoIterator<Item = &'p CollectivePlan>,
-    ) -> Result<bool> {
+    /// Whether any group of any step of `chain` includes a quarantined PE.
+    fn touches_quarantined(&self, comm: &Communicator, chain: &FusedPlan) -> Result<bool> {
         if !self.ledger.any_quarantined() {
             return Ok(false);
         }
-        for plan in plans {
+        for plan in chain.steps() {
             let groups = comm.manager().groups(&plan.mask)?;
             if groups.iter().any(|g| {
                 g.members

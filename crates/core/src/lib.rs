@@ -65,13 +65,13 @@
 //!   plans in a keyed [`PlanCache`]. The one-shot methods are themselves
 //!   plan-then-execute, and warm re-execution is byte-identical to cold
 //!   planning (`tests/plan_reuse.rs`).
-//! * **Prepared & fused execution** — the tier above plans: a
-//!   [`PreparedScatter`] validates and row-stages a rooted send's host
-//!   payload once (arena-pooled image), so repeat executes skip
-//!   validation and assembly; a [`FusedPlan`] chains collectives of one
+//! * **Chains** — a [`FusedPlan`] chains one or more collectives of one
 //!   geometry so step *k*'s output is step *k+1*'s in-MRAM input with no
 //!   host staging between, with per-step reports bit-identical to
-//!   standalone execution (`tests/prepared.rs`).
+//!   standalone execution (`tests/prepared.rs`). A chain is the one unit
+//!   the verified ([`Communicator::execute_verified_fused`]) and
+//!   supervised ([`Attempt::fused`]) tiers execute; a single collective
+//!   is a chain of one step.
 //!
 //! `BENCH_streaming.json` (regenerated by the `bench_json` binary in
 //! `pidcomm-bench`) tracks the wall-clock trajectory of the fig. 14 sweep
@@ -118,8 +118,8 @@ pub use engine::autotune::{autotune, TuneCandidate, TuneReport, TuneRequest};
 pub use engine::hostkernel::{panic_message, par_chunks, par_pes, par_pes_with};
 pub use engine::parallel::auto_threads;
 pub use engine::plan::{CollectivePlan, PlanCache, PlanCacheStats};
-pub use engine::prepared::{FusedExecution, FusedPlan, PreparedScatter};
-pub use engine::recovery::{FusedVerifiedExecution, RecoveryPolicy, VerifiedExecution};
+pub use engine::prepared::{FusedExecution, FusedPlan};
+pub use engine::recovery::{RecoveryPolicy, VerifiedExecution};
 pub use engine::supervisor::{
     Attempt, HealthLedger, Iteration, PeHealth, RunOutcome, RunPolicy, Supervisor,
 };

@@ -11,15 +11,12 @@
 //! fraction destined to other hosts, which is why its multi-host overhead
 //! grows with host count while AllReduce's stays negligible.
 
-use std::sync::Arc;
-
 use pim_sim::dtype::{reduce_bytes, ReduceKind};
 use pim_sim::{Breakdown, PimSystem, TimeModel};
 
 use crate::comm::Communicator;
 use crate::config::Primitive;
 use crate::engine::plan::CollectivePlan;
-use crate::engine::prepared::PreparedScatter;
 use crate::engine::{parallel, BufferSpec};
 use crate::error::{Error, Result};
 use crate::hypercube::{CommGroup, DimMask};
@@ -217,14 +214,9 @@ impl MultiHost {
         let inner_plan = |c: &Communicator, prim: Primitive, spec: &BufferSpec| {
             CollectivePlan::build(c.manager(), c.opt(), prim, mask, spec, op, inner_threads(c))
         };
-        // Phase-3 plans live behind `Arc` so the reduction hierarchies can
-        // feed one shared [`PreparedScatter`] image to every host worker.
-        let inner_plan_arc = |c: &Communicator, prim: Primitive, spec: &BufferSpec| {
-            inner_plan(c, prim, spec).map(Arc::new)
-        };
 
         // Per-primitive phase specs (phase 2 is the analytic link model).
-        let (phase1, phase3): (Vec<CollectivePlan>, Vec<Arc<CollectivePlan>>) = match primitive {
+        let (phase1, phase3): (Vec<CollectivePlan>, Vec<CollectivePlan>) = match primitive {
             Primitive::AllReduce => {
                 let p3 = BufferSpec {
                     src_offset: 0,
@@ -239,7 +231,7 @@ impl MultiHost {
                         .collect::<Result<_>>()?,
                     self.comms
                         .iter()
-                        .map(|c| inner_plan_arc(c, Primitive::Broadcast, &p3))
+                        .map(|c| inner_plan(c, Primitive::Broadcast, &p3))
                         .collect::<Result<_>>()?,
                 )
             }
@@ -263,7 +255,7 @@ impl MultiHost {
                         .collect::<Result<_>>()?,
                     self.comms
                         .iter()
-                        .map(|c| inner_plan_arc(c, Primitive::Scatter, &p3))
+                        .map(|c| inner_plan(c, Primitive::Scatter, &p3))
                         .collect::<Result<_>>()?,
                 )
             }
@@ -287,23 +279,35 @@ impl MultiHost {
                         .collect::<Result<_>>()?,
                     self.comms
                         .iter()
-                        .map(|c| inner_plan_arc(c, Primitive::Scatter, &p3))
+                        .map(|c| inner_plan(c, Primitive::Scatter, &p3))
                         .collect::<Result<_>>()?,
                 )
             }
             Primitive::AllGather => {
                 // The local AllGather's intermediate result lands in a
                 // scratch region past the final destination window.
+                // Checked, so an oversized spec is a typed error; the
+                // inner plans bound both windows against the bank.
+                let total = h.checked_mul(n).and_then(|hn| hn.checked_mul(b));
+                let scratch = total
+                    .and_then(|t| spec.dst_offset.checked_add(t))
+                    .and_then(|end| end.checked_next_multiple_of(64));
+                let (Some(total), Some(scratch)) = (total, scratch) else {
+                    return Err(Error::InvalidBuffer(format!(
+                        "multi-host AllGather of {h} x {n} x {b} bytes at offset {} overflows",
+                        spec.dst_offset
+                    )));
+                };
                 let p1 = BufferSpec {
                     src_offset: spec.src_offset,
-                    dst_offset: (spec.dst_offset + h * n * b).next_multiple_of(64),
+                    dst_offset: scratch,
                     bytes_per_node: b,
                     dtype: spec.dtype,
                 };
                 let p3 = BufferSpec {
                     src_offset: 0,
                     dst_offset: spec.dst_offset,
-                    bytes_per_node: h * n * b,
+                    bytes_per_node: total,
                     dtype: spec.dtype,
                 };
                 (
@@ -313,7 +317,7 @@ impl MultiHost {
                         .collect::<Result<_>>()?,
                     self.comms
                         .iter()
-                        .map(|c| inner_plan_arc(c, Primitive::Broadcast, &p3))
+                        .map(|c| inner_plan(c, Primitive::Broadcast, &p3))
                         .collect::<Result<_>>()?,
                 )
             }
@@ -437,10 +441,8 @@ pub struct MultiHostPlan {
     groups: Vec<CommGroup>,
     /// Per-host plans of the first local phase.
     phase1: Vec<CollectivePlan>,
-    /// Per-host plans of the closing local phase, shareable so the
-    /// reduction hierarchies can stage one [`PreparedScatter`] image for
-    /// every host (the hosts share one hypercube shape).
-    phase3: Vec<Arc<CollectivePlan>>,
+    /// Per-host plans of the closing local phase.
+    phase3: Vec<CollectivePlan>,
 }
 
 impl MultiHostPlan {
@@ -555,14 +557,9 @@ impl MultiHostPlan {
         }
         let mpi_ns = self.mpi_ns();
 
-        // Phase 3: local Broadcast of the global result. Every host
-        // broadcasts the same bytes, so the rows are validated and staged
-        // once through the prepared tier and the shared image feeds all
-        // host workers (host 0's plan serves every system — the hosts
-        // share one shape, and threads are a schedule-only knob).
-        let prepared = PreparedScatter::stage(Arc::clone(&self.phase3[0]), &global)?;
-        let phase3 = par_hosts(self.host_threads, systems, |_host, sys| {
-            Ok(prepared.execute(sys)?.breakdown)
+        // Phase 3: local Broadcast of the global result on every host.
+        let phase3 = par_hosts(self.host_threads, systems, |host, sys| {
+            Ok(self.phase3[host].execute_with_host(sys, &global)?.breakdown)
         })?;
         for (local, extra) in locals.iter_mut().zip(phase3) {
             *local += extra;
@@ -691,11 +688,10 @@ impl MultiHostPlan {
         // Phase 2: the per-host concatenations cross the link once.
         let mpi_ns = self.mpi_ns();
 
-        // Phase 3: local Broadcast of the global concatenation, staged
-        // once and shared by all hosts exactly as in the AllReduce tail.
-        let prepared = PreparedScatter::stage(Arc::clone(&self.phase3[0]), &concat)?;
-        let phase3 = par_hosts(self.host_threads, systems, |_host, sys| {
-            Ok(prepared.execute(sys)?.breakdown)
+        // Phase 3: local Broadcast of the global concatenation on every
+        // host.
+        let phase3 = par_hosts(self.host_threads, systems, |host, sys| {
+            Ok(self.phase3[host].execute_with_host(sys, &concat)?.breakdown)
         })?;
         for (local, extra) in locals.iter_mut().zip(phase3) {
             *local += extra;

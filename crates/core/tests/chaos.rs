@@ -111,7 +111,7 @@ fn zero_fault_verified_execution_is_bit_identical() {
             let (clean_report, clean_host) = run_clean(&c, &mut clean_sys, prim, &mask);
 
             let mut ver_sys = fresh_filled();
-            let plan = c.plan(prim, &mask, &spec(), ReduceKind::Sum).unwrap();
+            let plan = Arc::new(c.plan(prim, &mask, &spec(), ReduceKind::Sum).unwrap());
             let hin = host_in(prim);
             let ver = c
                 .execute_verified(
@@ -124,7 +124,15 @@ fn zero_fault_verified_execution_is_bit_identical() {
 
             assert_eq!(ver.retries, 0, "{prim} {opt:?}");
             assert!(!ver.degraded, "{prim} {opt:?}");
-            assert_eq!(ver.report, clean_report, "{prim} {opt:?}: modeled bits");
+            assert_eq!(
+                ver.reports,
+                std::slice::from_ref(&clean_report),
+                "{prim} {opt:?}: modeled bits"
+            );
+            assert_eq!(
+                ver.breakdown, clean_report.breakdown,
+                "{prim} {opt:?}: spanning breakdown"
+            );
             assert_eq!(ver.host_out, clean_host, "{prim} {opt:?}: host output");
             assert_eq!(
                 snapshot(&ver_sys),
@@ -152,7 +160,7 @@ fn transient_fault_is_retried_to_the_exact_clean_result() {
             2,
             1,
         )));
-        let plan = c.plan(prim, &mask, &spec(), ReduceKind::Sum).unwrap();
+        let plan = Arc::new(c.plan(prim, &mask, &spec(), ReduceKind::Sum).unwrap());
         let hin = host_in(prim);
         let ver = c
             .execute_verified(
@@ -177,18 +185,24 @@ fn transient_fault_is_retried_to_the_exact_clean_result() {
         assert_eq!(ver.host_out, clean_host, "{prim}: host output");
         ver_sys.detach_fault_plan();
         assert_eq!(snapshot(&ver_sys), snapshot(&clean_sys), "{prim}: PE bytes");
+        // The committing pass charges exactly what a clean execution does.
+        assert_eq!(
+            ver.reports,
+            std::slice::from_ref(&clean_report),
+            "{prim}: committed report"
+        );
         if writes_pes {
             // The failed attempt plus the retry resync are on the meter.
             assert!(
-                ver.report.time_ns() > clean_report.time_ns(),
+                ver.breakdown.total() > clean_report.time_ns(),
                 "{prim}: recovery must be visible in modeled time \
                  ({} vs clean {})",
-                ver.report.time_ns(),
+                ver.breakdown.total(),
                 clean_report.time_ns()
             );
         } else {
             assert_eq!(
-                ver.report, clean_report,
+                ver.breakdown, clean_report.breakdown,
                 "{prim}: harmless fault leaves modeled time untouched"
             );
         }
@@ -205,9 +219,10 @@ fn transient_fault_with_no_retry_budget_surfaces_typed_error() {
         2,
         1,
     )));
-    let plan = c
-        .plan(Primitive::AlltoAll, &mask, &spec(), ReduceKind::Sum)
-        .unwrap();
+    let plan = Arc::new(
+        c.plan(Primitive::AlltoAll, &mask, &spec(), ReduceKind::Sum)
+            .unwrap(),
+    );
     let policy = RecoveryPolicy {
         max_retries: 0,
         degrade: true,
@@ -233,7 +248,7 @@ fn persistent_pe_failure_degrades_to_correct_surviving_results() {
 
         let mut ver_sys = fresh_filled();
         ver_sys.attach_fault_plan(Arc::new(FaultPlan::new(11).with_failed_pe(dead)));
-        let plan = c.plan(prim, &mask, &spec(), ReduceKind::Sum).unwrap();
+        let plan = Arc::new(c.plan(prim, &mask, &spec(), ReduceKind::Sum).unwrap());
         let hin = host_in(prim);
         let ver = c
             .execute_verified(
@@ -267,7 +282,7 @@ fn persistent_pe_failure_degrades_to_correct_surviving_results() {
         // Degraded recompute is visible in modeled time via the recovery
         // byte counter (host-modulation charge).
         assert!(
-            ver.report.breakdown.host_modulation > 0.0,
+            ver.breakdown.host_modulation > 0.0,
             "{prim}: degraded recompute must be charged"
         );
     }
@@ -279,9 +294,10 @@ fn persistent_failure_with_degradation_disabled_surfaces_pe_failed() {
     let c = comm(OptLevel::Full);
     let mut sys = fresh_filled();
     sys.attach_fault_plan(Arc::new(FaultPlan::new(3).with_failed_pe(5)));
-    let plan = c
-        .plan(Primitive::AllReduce, &mask, &spec(), ReduceKind::Sum)
-        .unwrap();
+    let plan = Arc::new(
+        c.plan(Primitive::AllReduce, &mask, &spec(), ReduceKind::Sum)
+            .unwrap(),
+    );
     let policy = RecoveryPolicy {
         max_retries: 2,
         degrade: false,
@@ -333,7 +349,7 @@ fn seeded_chaos_never_corrupts_silently() {
                 }
                 let mut sys = fresh_filled();
                 sys.attach_fault_plan(Arc::new(fp));
-                let plan = c.plan(prim, &mask, &spec(), ReduceKind::Sum).unwrap();
+                let plan = Arc::new(c.plan(prim, &mask, &spec(), ReduceKind::Sum).unwrap());
                 let hin = host_in(prim);
                 match c.execute_verified(&mut sys, &plan, hin.as_deref(), &policy) {
                     Ok(ver) => {
@@ -393,7 +409,7 @@ fn recovery_rollback_is_scoped_to_plan_regions() {
             2,
             1,
         )));
-        let plan = c.plan(prim, &mask, &spec(), ReduceKind::Sum).unwrap();
+        let plan = Arc::new(c.plan(prim, &mask, &spec(), ReduceKind::Sum).unwrap());
         let hin = host_in(prim);
         let ver = c
             .execute_verified(&mut sys, &plan, hin.as_deref(), &RecoveryPolicy::default())
@@ -434,9 +450,10 @@ fn transiently_stuck_pe_is_caught_before_dispatch() {
         9,
         1,
     )));
-    let plan = c
-        .plan(Primitive::AlltoAll, &mask, &spec(), ReduceKind::Sum)
-        .unwrap();
+    let plan = Arc::new(
+        c.plan(Primitive::AlltoAll, &mask, &spec(), ReduceKind::Sum)
+            .unwrap(),
+    );
     let ver = c
         .execute_verified(&mut sys, &plan, None, &RecoveryPolicy::default())
         .unwrap();

@@ -148,3 +148,68 @@ fn multihost_parallel_hosts_are_deterministic() {
     assert_eq!(rep_a.mpi_ns, rep_b.mpi_ns);
     assert_eq!(img_a, img_b);
 }
+
+/// Hierarchical AllReduce and AllGather land exactly the global-group
+/// oracle result: on 3 hosts with distinct per-PE, per-host payloads,
+/// every PE's destination window on every host equals
+/// [`pidcomm::oracle`] over the global group (host `h`, local rank `r` is
+/// global rank `h * N + r`).
+#[test]
+fn multihost_results_match_global_oracle() {
+    const HOSTS: usize = 3;
+    const DST: usize = 1 << 16;
+    let geom = DimmGeometry::single_rank();
+    let shape = HypercubeShape::new(vec![8, 8]).unwrap();
+    let manager = HypercubeManager::new(shape, geom).unwrap();
+    let mh = pidcomm::MultiHost::new(
+        vec![Communicator::new(manager.clone()); HOSTS],
+        pidcomm::LinkModel::ethernet_10g(),
+    )
+    .unwrap();
+    for mask in ["10", "01", "11"] {
+        let mask: DimMask = mask.parse().unwrap();
+        let n = mask.group_size(manager.shape()).unwrap();
+        let groups = manager.groups(&mask).unwrap();
+        for gather in [false, true] {
+            let b = if gather { 64 } else { 16 * n };
+            let spec = BufferSpec::new(0, DST, b);
+            let mut systems: Vec<PimSystem> = (0..HOSTS).map(|_| PimSystem::new(geom)).collect();
+            for (h, sys) in systems.iter_mut().enumerate() {
+                fill(sys, b, 0xA11 + h as u64);
+            }
+            // Global-group inputs, by global rank.
+            let inputs: Vec<Vec<Vec<u8>>> = groups
+                .iter()
+                .map(|g| {
+                    systems
+                        .iter()
+                        .flat_map(|sys| g.members.iter().map(|&pe| sys.pe(pe).peek(0, b)))
+                        .collect()
+                })
+                .collect();
+            if gather {
+                mh.all_gather(&mut systems, &mask, &spec).unwrap();
+            } else {
+                mh.all_reduce(&mut systems, &mask, &spec, ReduceKind::Sum)
+                    .unwrap();
+            }
+            for (g, input) in groups.iter().zip(&inputs) {
+                let want = if gather {
+                    pidcomm::oracle::all_gather(input)
+                } else {
+                    pidcomm::oracle::all_reduce(input, ReduceKind::Sum, DType::U64)
+                };
+                for (h, sys) in systems.iter().enumerate() {
+                    for (r, &pe) in g.members.iter().enumerate() {
+                        let out = &want[h * n + r];
+                        assert!(
+                            sys.pe(pe).peek(DST, out.len()) == *out,
+                            "mask {mask} gather {gather}: host {h} group {} rank {r}",
+                            g.id
+                        );
+                    }
+                }
+            }
+        }
+    }
+}

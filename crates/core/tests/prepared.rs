@@ -1,12 +1,10 @@
-//! Prepared & fused execution identity suite.
+//! Chain execution identity suite.
 //!
-//! The prepared tier ([`pidcomm::PreparedScatter`], [`pidcomm::FusedPlan`])
-//! removes host-side copies and per-call validation — never the charged
-//! schedule. Every test here pins that claim bit-for-bit: prepared
-//! executes against per-call `execute_with_host`, fused chains against the
-//! same plans issued separately, and the verified/chaos tier against the
-//! clean result — across all 8 primitives, 3 optimization levels and
-//! fresh/recycled arenas.
+//! A chain ([`pidcomm::FusedPlan`]) removes host staging between steps —
+//! never the charged schedule. Every test here pins that claim
+//! bit-for-bit: fused chains against the same plans issued separately,
+//! and the verified/chaos tier against the clean result — across all 8
+//! primitives, 3 optimization levels and fresh/recycled arenas.
 
 use pidcomm::{
     BufferSpec, CollectivePlan, Communicator, DimMask, Error, HypercubeManager, HypercubeShape,
@@ -119,72 +117,6 @@ fn run_step(
     }
 }
 
-/// A prepared scatter/broadcast executes bit-identically to per-call
-/// `execute_with_host` — across opt levels, repeat executes, recycled
-/// arenas and restaged payloads.
-#[test]
-fn prepared_execution_matches_per_call_path() {
-    let mask: DimMask = "10".parse().unwrap();
-    for opt in [OptLevel::Baseline, OptLevel::InRegister, OptLevel::Full] {
-        for prim in [Primitive::Scatter, Primitive::Broadcast] {
-            let c = comm(opt, 1);
-            let hin = host_in(prim);
-            let plan = Arc::new(
-                c.plan(prim, &mask, &BufferSpec::new(0, O1, B), ReduceKind::Sum)
-                    .unwrap(),
-            );
-
-            // Cold per-call reference.
-            let mut arena = SystemArena::new();
-            let mut sys = fresh_filled(&mut arena);
-            let ref_report = plan.execute_with_host(&mut sys, &hin).unwrap();
-            let ref_mram = snapshot(&sys);
-            arena.recycle(sys);
-
-            // Prepared: stage once, execute thrice, across fresh and
-            // arena-pooled images.
-            let prepared = c.prepare(Arc::clone(&plan), &hin).unwrap();
-            let pooled = c.prepare_in(Arc::clone(&plan), &hin, &mut arena).unwrap();
-            for p in [&prepared, &pooled] {
-                for round in 0..3 {
-                    let mut sys = fresh_filled(&mut arena);
-                    let report = p.execute(&mut sys).unwrap();
-                    assert!(
-                        report == ref_report,
-                        "{prim} {opt:?}: prepared report diverges (round {round})"
-                    );
-                    assert!(
-                        snapshot(&sys) == ref_mram,
-                        "{prim} {opt:?}: prepared MRAM diverges (round {round})"
-                    );
-                    arena.recycle(sys);
-                }
-            }
-            pooled.retire(&mut arena);
-
-            // Restage with a different payload: matches the per-call path
-            // for that payload.
-            let hin2: Vec<Vec<u8>> = hin
-                .iter()
-                .map(|b| b.iter().map(|&x| x.wrapping_add(101)).collect())
-                .collect();
-            let mut sys = fresh_filled(&mut arena);
-            let ref2 = plan.execute_with_host(&mut sys, &hin2).unwrap();
-            let ref2_mram = snapshot(&sys);
-            arena.recycle(sys);
-            let mut prepared = prepared;
-            prepared.restage(&hin2).unwrap();
-            let mut sys = fresh_filled(&mut arena);
-            let report = prepared.execute(&mut sys).unwrap();
-            assert!(report == ref2, "{prim} {opt:?}: restaged report diverges");
-            assert!(
-                snapshot(&sys) == ref2_mram,
-                "{prim} {opt:?}: restaged MRAM diverges"
-            );
-        }
-    }
-}
-
 /// A fused chain's per-step reports, host output and PE bytes are
 /// bit-identical to issuing the same plans separately — for both chains
 /// (all 8 primitives), all 3 opt levels, fresh and recycled arenas.
@@ -210,16 +142,13 @@ fn fused_chain_matches_unfused_plan_sequence() {
             let ref_mram = snapshot(&sys);
             arena.recycle(sys);
 
-            // Fused: one chain, the prepared payload feeding step 0. Three
+            // Fused: one chain, the host payload feeding step 0. Three
             // rounds over arena-recycled systems prove repeatability.
-            let prepared = c
-                .prepare_in(Arc::clone(&steps[0]), &hin, &mut arena)
-                .unwrap();
             let fused = c.fuse(steps.clone(), &[]).unwrap();
             for round in 0..3 {
                 let mut sys = fresh_filled(&mut arena);
                 let exec = fused
-                    .execute_with(&mut sys, Some(&prepared), |_, _| Ok(()))
+                    .execute_with(&mut sys, Some(&hin), |_, _| Ok(()))
                     .unwrap();
                 assert!(
                     exec.reports == ref_reports,
@@ -235,24 +164,31 @@ fn fused_chain_matches_unfused_plan_sequence() {
                 );
                 arena.recycle(sys);
             }
-            prepared.retire(&mut arena);
         }
     }
 }
 
-/// The fusion contract rejects malformed chains and mismatched prepared
-/// payloads with typed errors.
+/// The chain contract accepts one step or more, rejects malformed chains
+/// and mismatched host input with typed errors.
 #[test]
 fn fusion_contract_is_enforced() {
     let mask: DimMask = "10".parse().unwrap();
     let c = comm(OptLevel::Full, 1);
     let steps = chain(&c, &mask, Primitive::Scatter);
 
-    // Fewer than two steps.
+    // No steps at all.
     assert!(matches!(
-        c.fuse(vec![Arc::clone(&steps[1])], &[]),
+        c.fuse(vec![], &[]),
         Err(Error::InvalidHostData(_))
     ));
+    // A single step is a chain of one.
+    assert_eq!(
+        c.fuse(vec![Arc::clone(&steps[1])], &[])
+            .unwrap()
+            .steps()
+            .len(),
+        1
+    );
     // A rooted send anywhere but first.
     assert!(matches!(
         c.fuse(vec![Arc::clone(&steps[1]), Arc::clone(&steps[0])], &[]),
@@ -267,25 +203,24 @@ fn fusion_contract_is_enforced() {
     let fused = c.fuse(steps.clone(), &[]).unwrap();
     let mut arena = SystemArena::new();
     let mut sys = fresh_filled(&mut arena);
-    // A rooted-send chain demands its prepared payload.
-    assert!(fused.execute_with(&mut sys, None, |_, _| Ok(())).is_err());
-    // A payload staged for a *different* plan instance (same shape, same
-    // bytes) is rejected: identity, not structural equality, is the
-    // contract.
-    let twin = chain(&c, &mask, Primitive::Scatter);
-    let wrong = c
-        .prepare(Arc::clone(&twin[0]), &host_in(Primitive::Scatter))
-        .unwrap();
-    assert!(fused
-        .execute_with(&mut sys, Some(&wrong), |_, _| Ok(()))
-        .is_err());
-    // A non-rooted chain takes no prepared input.
+    // A rooted-send chain demands its host input, of the right shape.
+    assert!(matches!(
+        fused.execute_with(&mut sys, None, |_, _| Ok(())),
+        Err(Error::InvalidHostData(_))
+    ));
+    let broadcast_sized = host_in(Primitive::Broadcast);
+    assert!(matches!(
+        fused.execute_with(&mut sys, Some(&broadcast_sized), |_, _| Ok(())),
+        Err(Error::InvalidHostData(_))
+    ));
+    // A non-rooted chain takes no host input.
     let tail = c
         .fuse(vec![Arc::clone(&steps[1]), Arc::clone(&steps[2])], &[])
         .unwrap();
-    assert!(tail
-        .execute_with(&mut sys, Some(&wrong), |_, _| Ok(()))
-        .is_err());
+    assert!(matches!(
+        tail.execute_with(&mut sys, Some(&host_in(Primitive::Scatter)), |_, _| Ok(())),
+        Err(Error::InvalidHostData(_))
+    ));
 
     // Merged rollback regions cover every step's extents plus hook extras.
     let hook_region = (SNAP, 128);
@@ -310,13 +245,12 @@ fn zero_fault_verified_fused_is_bit_identical() {
         let c = comm(OptLevel::Full, 1);
         let steps = chain(&c, &mask, first);
         let hin = host_in(first);
-        let prepared = c.prepare(Arc::clone(&steps[0]), &hin).unwrap();
         let fused = c.fuse(steps, &[]).unwrap();
 
         let mut arena = SystemArena::new();
         let mut sys = fresh_filled(&mut arena);
         let plain = fused
-            .execute_with(&mut sys, Some(&prepared), |_, _| Ok(()))
+            .execute_with(&mut sys, Some(&hin), |_, _| Ok(()))
             .unwrap();
         let plain_mram = snapshot(&sys);
         arena.recycle(sys);
@@ -326,7 +260,7 @@ fn zero_fault_verified_fused_is_bit_identical() {
             .execute_verified_fused(
                 &mut sys,
                 &fused,
-                Some(&prepared),
+                Some(&hin),
                 &RecoveryPolicy::default(),
                 |_, _| Ok(()),
             )
@@ -359,9 +293,7 @@ fn supervised_chain_arms_verification_only_under_a_fault_plan() {
     let c = comm(OptLevel::Full, 1);
     let steps = chain(&c, &mask, Primitive::Scatter);
     let hooks = steps.len() - 1;
-    let prepared = c
-        .prepare(Arc::clone(&steps[0]), &host_in(Primitive::Scatter))
-        .unwrap();
+    let hin = host_in(Primitive::Scatter);
     let fused = c.fuse(steps, &[]).unwrap();
     let mut arena = SystemArena::new();
     for (faulty, caller_verify) in [(false, false), (true, false), (false, true)] {
@@ -377,7 +309,7 @@ fn supervised_chain_arms_verification_only_under_a_fault_plan() {
         let done = sup
             .iteration(&mut sys, &mut arena, &[(0, SNAP)], |sys, at| {
                 seen.clear();
-                at.fused(&c, sys, &fused, Some(&prepared), |_, sys| {
+                at.fused(&c, sys, &fused, Some(&hin), |_, sys| {
                     seen.push(sys.verify_writes());
                     Ok(())
                 })?;
@@ -408,7 +340,6 @@ fn mid_fused_step_fault_rolls_back_whole_chain_cleanly() {
     let c = comm(OptLevel::Full, 1);
     let steps = chain(&c, &mask, Primitive::Scatter);
     let hin = host_in(Primitive::Scatter);
-    let prepared = c.prepare(Arc::clone(&steps[0]), &hin).unwrap();
 
     // The hook after step 0 derives bytes from step 0's output and lands
     // them past every plan extent; `extra` tells the chain to cover them.
@@ -427,7 +358,7 @@ fn mid_fused_step_fault_rolls_back_whole_chain_cleanly() {
     // Clean reference (hook included).
     let mut arena = SystemArena::new();
     let mut sys = fresh_filled(&mut arena);
-    let clean = fused.execute_with(&mut sys, Some(&prepared), hook).unwrap();
+    let clean = fused.execute_with(&mut sys, Some(&hin), hook).unwrap();
     let clean_mram: Vec<Vec<u8>> = sys
         .geometry()
         .pes()
@@ -436,7 +367,7 @@ fn mid_fused_step_fault_rolls_back_whole_chain_cleanly() {
     arena.recycle(sys);
 
     // A bit flip on PE 2's writes during fault epoch 3 — the chain's
-    // *third* step, two steps and one hook after the prepared payload
+    // *third* step, two steps and one hook after the host payload
     // landed. The verified tier must detect it, restore the merged
     // regions (hook bytes included) and re-run the chain from step 0.
     let mut sys = fresh_filled(&mut arena);
@@ -449,7 +380,7 @@ fn mid_fused_step_fault_rolls_back_whole_chain_cleanly() {
         .execute_verified_fused(
             &mut sys,
             &fused,
-            Some(&prepared),
+            Some(&hin),
             &RecoveryPolicy::default(),
             hook,
         )

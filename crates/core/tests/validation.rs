@@ -2,7 +2,7 @@
 //! through `Communicator` calls.
 
 use pidcomm::hypercube::HypercubeManager;
-use pidcomm::{BufferSpec, Communicator, DimMask, Error, HypercubeShape, OptLevel};
+use pidcomm::{BufferSpec, Communicator, DimMask, Error, HypercubeShape, OptLevel, Primitive};
 use pim_sim::{DType, DimmGeometry, PimSystem, ReduceKind};
 
 fn comm_64() -> (PimSystem, Communicator) {
@@ -214,5 +214,84 @@ fn all_levels_reject_the_same_inputs() {
                 .is_err(),
             "{opt} accepted a misaligned buffer"
         );
+    }
+}
+
+/// Issues `prim` through its one-shot `Communicator` method. Rooted sends
+/// get empty host buffers: spec validation runs before host-buffer checks.
+fn one_shot(
+    comm: &Communicator,
+    sys: &mut PimSystem,
+    prim: Primitive,
+    mask: &DimMask,
+    spec: &BufferSpec,
+) -> Result<(), Error> {
+    let op = ReduceKind::Sum;
+    match prim {
+        Primitive::AlltoAll => comm.all_to_all(sys, mask, spec).map(drop),
+        Primitive::ReduceScatter => comm.reduce_scatter(sys, mask, spec, op).map(drop),
+        Primitive::AllReduce => comm.all_reduce(sys, mask, spec, op).map(drop),
+        Primitive::AllGather => comm.all_gather(sys, mask, spec).map(drop),
+        Primitive::Scatter => comm.scatter(sys, mask, spec, &[]).map(drop),
+        Primitive::Gather => comm.gather(sys, mask, spec).map(drop),
+        Primitive::Reduce => comm.reduce(sys, mask, spec, op).map(drop),
+        Primitive::Broadcast => comm.broadcast(sys, mask, spec, &[]).map(drop),
+    }
+}
+
+/// Offsets and sizes past the 64 MiB MRAM bank are typed plan-time errors
+/// for every primitive, through both the plan and the one-shot call —
+/// never an arithmetic overflow or an out-of-bank access during execute.
+#[test]
+fn out_of_bank_buffers_rejected_at_plan_time() {
+    let (mut sys, comm) = comm_64();
+    let mask: DimMask = "10".parse().unwrap();
+    let cases = [
+        (
+            "src_offset near usize::MAX",
+            BufferSpec::new(usize::MAX - 10, 4096, 512),
+        ),
+        ("src_offset 1 TiB", BufferSpec::new(1 << 40, 4096, 512)),
+        ("dst_offset 64 MiB", BufferSpec::new(0, 64 << 20, 512)),
+        ("bytes_per_node 1 GiB", BufferSpec::new(0, 4096, 1 << 30)),
+    ];
+    for (what, spec) in &cases {
+        for prim in Primitive::ALL {
+            assert!(
+                matches!(
+                    comm.plan(prim, &mask, spec, ReduceKind::Sum),
+                    Err(Error::InvalidBuffer(_))
+                ),
+                "{prim} plan accepted {what}"
+            );
+            assert!(
+                matches!(
+                    one_shot(&comm, &mut sys, prim, &mask, spec),
+                    Err(Error::InvalidBuffer(_))
+                ),
+                "{prim} one-shot call accepted {what}"
+            );
+        }
+    }
+    assert_eq!(sys.meter().total(), 0.0, "rejected calls charged time");
+
+    // The hierarchical multi-host plans reject the same specs.
+    let mh = pidcomm::MultiHost::new(vec![comm.clone(), comm], pidcomm::LinkModel::ethernet_10g())
+        .unwrap();
+    for (what, spec) in &cases {
+        for prim in [
+            Primitive::AllReduce,
+            Primitive::AlltoAll,
+            Primitive::ReduceScatter,
+            Primitive::AllGather,
+        ] {
+            assert!(
+                matches!(
+                    mh.plan(prim, &mask, spec, ReduceKind::Sum),
+                    Err(Error::InvalidBuffer(_))
+                ),
+                "multi-host {prim} plan accepted {what}"
+            );
+        }
     }
 }

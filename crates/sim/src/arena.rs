@@ -24,11 +24,6 @@
 //! * [`SystemArena::bytes`] / [`SystemArena::recycle_bytes`] do the same
 //!   for plain `Vec<u8>` staging buffers: `bytes(len)` is observationally
 //!   `vec![0u8; len]`, reusing the largest recycled capacity.
-//!   [`SystemArena::raw_bytes`] draws on the same pool without the clear
-//!   (contents unspecified) for fully-overwritten images — the prepared
-//!   tier's staged rows (`PreparedScatter::stage_in` checks one out,
-//!   `retire` returns it), so iteration-heavy sweeps re-stage into one
-//!   allocation across cells.
 //! * [`SystemArena::byte_set`] / [`SystemArena::index_lists`] (with their
 //!   `recycle_*` twins) pool the two remaining per-cell buffer classes:
 //!   the GNN's per-group scatter payloads (`Vec<Vec<u8>>`) and the DLRM's
@@ -110,32 +105,6 @@ impl SystemArena {
         buf.clear();
         buf.resize(len, 0);
         buf
-    }
-
-    /// As [`SystemArena::bytes`], but the contents are unspecified
-    /// (recycled bytes are handed back as-is): the checkout for callers
-    /// that overwrite every byte before reading any — the prepared tier's
-    /// staged row images. Skipping the clear matters there: the image can
-    /// run to hundreds of megabytes, and [`SystemArena::bytes`] would
-    /// memset all of it only for the staging pass to overwrite it again.
-    /// A fresh checkout allocates with `vec![0u8; len]` (lazily zeroed
-    /// pages), so first-touch cost is paid once, by the writer.
-    pub fn raw_bytes(&mut self, len: usize) -> Vec<u8> {
-        match self
-            .buffers
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, b)| b.capacity())
-        {
-            Some((i, _)) => {
-                let mut buf = self.buffers.swap_remove(i);
-                // Grows (zero-filling only the growth) or truncates; the
-                // recycled prefix keeps whatever it held.
-                buf.resize(len, 0);
-                buf
-            }
-            None => vec![0u8; len],
-        }
     }
 
     /// Returns a staging buffer to the pool.
