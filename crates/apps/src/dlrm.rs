@@ -89,8 +89,8 @@ const PAD: u64 = u64::MAX;
 /// Per-worker cache of materialized embedding rows: `embedding_value` is a
 /// per-element hash, and the same `(table, row)` is looked up many times
 /// across samples (multi-hot pooling over a bounded row space), so each
-/// worker materializes a touched row once and pooling runs as typed-lane
-/// adds over the cached slice instead of per-element hash calls. The row
+/// worker materializes a touched row once and pooling runs as `add_wrap`
+/// calls over the cached slice instead of per-element hash calls. The row
 /// space is bounded (`tables × rows_per_table`), so the cache is a flat
 /// slot table indexed directly — no hashing on the lookup path. Purely a
 /// memoization — the cached values are the deterministic
@@ -428,7 +428,7 @@ pub fn run_dlrm_resilient_in(
                     // After the index AlltoAll: sum-pool owned rows.
                     // Each worker materializes every touched (table, row)
                     // embedding row once into its private cache; pooling
-                    // then runs as a typed-lane add over the PE's column
+                    // then runs as an `add_wrap` over the PE's column
                     // slice of the cached row — the same multi-hot rows
                     // recur across samples, and all PEs of one worker
                     // share the cache.
@@ -529,7 +529,7 @@ pub fn run_dlrm_resilient_in(
         }
 
         // Assembly + divergence count (read-only, no writes to
-        // supervise): per-chunk payloads decode as one typed-lane run into
+        // supervise): per-chunk payloads decode as one `decode_i32` run into
         // per-worker scratch, then scatter as comps-wide rows into the
         // sample vector.
         let per_pe_mm = par_pes_with(

@@ -89,8 +89,8 @@ fn esize(dtype: DType) -> usize {
     dtype.size_bytes()
 }
 
-/// Deserializes a matrix at the declared width via the chunked
-/// sign-extending typed-lane decoder.
+/// Deserializes a matrix at the declared width via the sign-extending
+/// `kernels::decode_sext`.
 fn mat_from_bytes(rows: usize, cols: usize, bytes: &[u8], dtype: DType) -> MatI32 {
     assert_eq!(bytes.len(), rows * cols * esize(dtype));
     let mut m = MatI32::zeros(rows, cols);
@@ -189,8 +189,9 @@ fn tiles(graph: &CsrGraph, s: usize) -> Vec<Vec<Vec<(u32, u32)>>> {
 ///
 /// [`Error::InvalidShape`] if `layers` is 0, `pes` is not a square
 /// `s × s`, the vertex count does not divide by `s²` or `feature_dim` by
-/// `s`; [`Error::InvalidBuffer`] if a feature block breaks the
-/// collectives' `8 × s` alignment; plus collective validation errors.
+/// `s`; [`Error::InvalidBuffer`] if `dtype` is wider than 4 bytes or a
+/// feature block breaks the collectives' `8 × s` alignment; plus
+/// collective validation errors.
 pub fn run_gnn(cfg: &GnnConfig, graph: &CsrGraph) -> pidcomm::Result<AppRun> {
     run_gnn_in(cfg, graph, &mut SystemArena::new())
 }
@@ -261,6 +262,12 @@ pub fn run_gnn_resilient_in(
     })?;
     let bs = n / s; // vertices per block
     let es = esize(cfg.dtype);
+    ensure(es <= 4, || {
+        Error::InvalidBuffer(format!(
+            "GNN supports 1/2/4-byte elements, got {} ({es} bytes)",
+            cfg.dtype
+        ))
+    })?;
     let block_bytes = bs * f * es;
     ensure(block_bytes.is_multiple_of(8 * s), || {
         Error::InvalidBuffer(format!(
@@ -412,7 +419,7 @@ pub fn run_gnn_resilient_in(
             match sup.iteration(&mut sys, arena, &[(FEAT, block_bytes)], |sys, at| {
                 // Aggregation kernel: within its group, PE of rank r
                 // computes A[i_group][r] · F_r, a partial of row-block
-                // i_group. Per-edge row accumulation runs as a typed-lane
+                // i_group. Per-edge row accumulation runs as an `add_wrap`
                 // segment-sum over the feature block decoded into
                 // per-worker scratch.
                 let kernels = par_pes_with(

@@ -429,6 +429,23 @@ fn unhostable_configs_are_typed_errors() {
         &graph(),
     );
     assert!(matches!(gnn, Err(Error::InvalidShape(_))));
+    // The GNN models 1/2/4-byte PE registers; wider elements are typed
+    // errors, not a panic inside the narrow codecs.
+    for dtype in [DType::I64, DType::U64] {
+        let gnn = run_gnn(
+            &GnnConfig {
+                threads: 0,
+                pes: 64,
+                feature_dim: 16,
+                layers: 1,
+                variant: GnnVariant::RsAr,
+                opt: OptLevel::Full,
+                dtype,
+            },
+            &graph(),
+        );
+        assert!(matches!(gnn, Err(Error::InvalidBuffer(_))), "{dtype}");
+    }
 
     let dlrm = |pes, batch_size| {
         run_dlrm(&DlrmRunConfig {

@@ -111,56 +111,14 @@ fn bench_reduce_kernels() {
     }
 }
 
-/// The `pim_sim::kernels` typed-lane library vs its scalar oracles —
-/// every entry point's before/after pair, at the shapes the apps run
-/// (the MLP f=4096 partial vector, GNN f=64 feature rows, BFS/CC bitmap
-/// and label arrays, DLRM index chunks).
+/// The `pim_sim::kernels` entry points that have an independent oracle,
+/// each timed against it at the shapes the apps run (GNN narrow feature
+/// rows, the BFS frontier bitmap, the GNN transpose). The single-form
+/// kernels are their own reference and have no pair to time.
 fn bench_lane_kernels() {
-    // Codecs at one 64 KiB row.
-    let bytes = vec![0x5Au8; 64 * 1024];
-    let mut i32s = vec![0i32; 16 * 1024];
-    bench("kernels/decode_i32_64k", || {
-        kernels::decode_i32(black_box(&bytes), black_box(&mut i32s))
-    });
-    bench("kernels/decode_i32_64k_scalar_ref", || {
-        oracle::decode_i32_scalar_ref(black_box(&bytes), black_box(&mut i32s))
-    });
-    let mut out = vec![0u8; 64 * 1024];
-    bench("kernels/encode_i32_64k", || {
-        kernels::encode_i32(black_box(&i32s), black_box(&mut out))
-    });
-    bench("kernels/encode_i32_64k_scalar_ref", || {
-        oracle::encode_i32_scalar_ref(black_box(&i32s), black_box(&mut out))
-    });
-    let mut u32s = vec![0u32; 16 * 1024];
-    bench("kernels/decode_u32_64k", || {
-        kernels::decode_u32(black_box(&bytes), black_box(&mut u32s))
-    });
-    bench("kernels/decode_u32_64k_scalar_ref", || {
-        oracle::decode_u32_scalar_ref(black_box(&bytes), black_box(&mut u32s))
-    });
-    bench("kernels/encode_u32_64k", || {
-        kernels::encode_u32(black_box(&u32s), black_box(&mut out))
-    });
-    bench("kernels/encode_u32_64k_scalar_ref", || {
-        oracle::encode_u32_scalar_ref(black_box(&u32s), black_box(&mut out))
-    });
-    let mut u64s = vec![0u64; 8 * 1024];
-    bench("kernels/decode_u64_64k", || {
-        kernels::decode_u64(black_box(&bytes), black_box(&mut u64s))
-    });
-    bench("kernels/decode_u64_64k_scalar_ref", || {
-        oracle::decode_u64_scalar_ref(black_box(&bytes), black_box(&mut u64s))
-    });
-    bench("kernels/encode_u64_64k", || {
-        kernels::encode_u64(black_box(&u64s), black_box(&mut out))
-    });
-    bench("kernels/encode_u64_64k_scalar_ref", || {
-        oracle::encode_u64_scalar_ref(black_box(&u64s), black_box(&mut out))
-    });
-
     // Narrow sign-extending views (the GNN int8 path, 16 KiB elements).
     let narrow = vec![0xA5u8; 16 * 1024];
+    let mut i32s = vec![0i32; 16 * 1024];
     bench("kernels/decode_sext_i8_16k", || {
         kernels::decode_sext(DType::I8, black_box(&narrow), black_box(&mut i32s))
     });
@@ -175,64 +133,9 @@ fn bench_lane_kernels() {
         oracle::encode_trunc_scalar_ref(DType::I8, black_box(&i32s), black_box(&mut nout))
     });
 
-    // Accumulates at the MLP partial-vector length (f = 4096).
-    let mut acc = vec![1i32; 4096];
-    let xs: Vec<i32> = (0..4096i32).map(|i| i - 2048).collect();
-    let xbytes = {
-        let mut b = vec![0u8; 4096 * 4];
-        kernels::encode_i32(&xs, &mut b);
-        b
-    };
-    bench("kernels/axpy_i32_4096", || {
-        kernels::axpy_i32(black_box(&mut acc), black_box(3), black_box(&xs))
-    });
-    bench("kernels/axpy_i32_4096_scalar_ref", || {
-        oracle::axpy_i32_scalar_ref(black_box(&mut acc), black_box(3), black_box(&xs))
-    });
-    bench("kernels/axpy_i32_bytes_4096", || {
-        kernels::axpy_i32_bytes(black_box(&mut acc), black_box(3), black_box(&xbytes))
-    });
-    bench("kernels/axpy_i32_bytes_4096_scalar_ref", || {
-        oracle::axpy_i32_bytes_scalar_ref(black_box(&mut acc), black_box(3), black_box(&xbytes))
-    });
-    for dt in [DType::I8, DType::I32] {
-        bench(&format!("kernels/axpy_wrap_{dt}_4096"), || {
-            kernels::axpy_wrap(dt, black_box(&mut acc), black_box(3), black_box(&xs))
-        });
-        bench(&format!("kernels/axpy_wrap_{dt}_4096_scalar_ref"), || {
-            oracle::axpy_wrap_scalar_ref(dt, black_box(&mut acc), black_box(3), black_box(&xs))
-        });
-        bench(&format!("kernels/add_wrap_{dt}_4096"), || {
-            kernels::add_wrap(dt, black_box(&mut acc), black_box(&xs))
-        });
-        bench(&format!("kernels/add_wrap_{dt}_4096_scalar_ref"), || {
-            oracle::add_wrap_scalar_ref(dt, black_box(&mut acc), black_box(&xs))
-        });
-    }
-
-    // Maps.
-    bench("kernels/relu_i32_4096", || {
-        kernels::relu_i32(black_box(&mut acc))
-    });
-    bench("kernels/relu_i32_4096_scalar_ref", || {
-        oracle::relu_i32_scalar_ref(black_box(&mut acc))
-    });
-    bench("kernels/max_i32_4096", || {
-        kernels::max_i32(black_box(&mut acc), black_box(&xs))
-    });
-    bench("kernels/max_i32_4096_scalar_ref", || {
-        oracle::max_i32_scalar_ref(black_box(&mut acc), black_box(&xs))
-    });
-
-    // Bitmaps at the BFS LiveJournal-scale size (32k vertices -> 4 KiB).
-    let mut bm = vec![0x10u8; 4096];
-    let src = vec![0x01u8; 4096];
-    bench("kernels/bitmap_or_4k", || {
-        kernels::bitmap_or(black_box(&mut bm), black_box(&src))
-    });
-    bench("kernels/bitmap_or_4k_scalar_ref", || {
-        oracle::bitmap_or_scalar_ref(black_box(&mut bm), black_box(&src))
-    });
+    // New-bit scan at the BFS LiveJournal-scale size (32k vertices ->
+    // 4 KiB).
+    let bm = vec![0x11u8; 4096];
     let olds = vec![0x10u8; 4096];
     bench("kernels/new_bit_scan_4k", || {
         let mut sum = 0usize;

@@ -74,7 +74,7 @@ impl MatI32 {
     }
 
     /// The flat backing slice, mutably (row-major) — the entry point for
-    /// chunked typed-lane decodes straight into the matrix.
+    /// `pim_sim::kernels` decodes straight into the matrix.
     pub fn as_mut_slice(&mut self) -> &mut [i32] {
         &mut self.data
     }

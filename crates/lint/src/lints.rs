@@ -128,11 +128,11 @@ hot-alloc: `Vec::new`, `vec![]`, `.collect()`, `Box::new` and
 `// simlint: hot(end)` markers — the per-PE kernel regions of
 crates/sim/src/kernels.rs and the apps' `par_pes` closures.
 
-Contract (PR 4): the typed-lane kernels and the apps' per-PE loops are
+Contract (PR 4): the per-element kernels and the apps' per-PE loops are
 allocation-free in steady state; per-worker scratch comes from
 `par_pes_with` init closures (which sit *outside* the markers).
-An allocation inside the marked region runs once per PE per iteration —
-the exact regression the kernel rewrite removed."
+An allocation inside the marked region runs once per PE per iteration:
+a staging `Vec` per PE per layer, where a reused buffer costs nothing."
             }
             Lint::UnsafeAudit => {
                 "\

@@ -1,162 +1,84 @@
-//! Typed-lane kernel library for the single-PE hot loops of the benchmark
-//! applications.
+//! Per-element kernels for the single-PE hot loops of the benchmark
+//! applications: little-endian codecs between MRAM bytes and typed
+//! values, the wrapping accumulates of the MLP and GNN layers, ReLU, the
+//! BFS frontier scan and the strided row copy of the GNN transpose.
 //!
-//! After the host-kernel executor parallelized the apps' per-PE loops
-//! *across* PEs, the remaining serial wall is what happens *inside* one
-//! work item: per-element `i32::from_le_bytes` decode loops, scalar
-//! accumulate / pool / ReLU passes and per-cell `Vec` churn. This module
-//! gives those loops the same treatment the PR 2 `reduce_bytes` rewrite
-//! gave the collective engine's reductions — safe, allocation-free kernels
-//! over contiguous typed lanes, shaped so LLVM autovectorizes them.
-//!
-//! # The autovectorization contract
-//!
-//! Every kernel processes its bulk in **64-byte blocks** (one cache line,
-//! and one PIM burst — the natural granule of everything in this
-//! simulator) decoded into fixed-width native-typed lane arrays:
-//!
-//! * the per-lane loops have **compile-time trip counts** (`for i in 0..L`
-//!   with `L` a constant), so LLVM fully unrolls them and lowers the lane
-//!   array to vector registers — no runtime bound checks survive;
-//! * lane arrays live on the stack and never escape, so nothing aliases
-//!   and the loads/stores batch into wide moves;
-//! * a scalar tail handles the ragged remainder, which keeps every kernel
-//!   correct at **any** length and alignment (the property suite pins
-//!   this against the scalar oracles below).
-//!
-//! **Why not `std::simd`?** Portable SIMD is still nightly-only and this
-//! repository pins a stable toolchain in an offline container; more
-//! importantly, the chunked-lane shape already gets the same codegen —
-//! the PR 2 `reduce_bytes` rewrite measured 2–7x from exactly this
-//! pattern, with zero `unsafe` and zero feature gates. The contract is
-//! *shape*, not intrinsics.
-//!
-//! # Scalar oracles
-//!
-//! [`reference`] holds a per-element scalar twin of every kernel — the
-//! loop shape the applications used before this module existed. They are
-//! the semantic source of truth: `crates/sim/tests/kernels.rs` pins every
-//! kernel to its oracle byte-for-byte over seeded inputs at many lengths
-//! and alignments, and `benches/primitives.rs` times each pair so the
-//! speedup stays visible in the trajectory. All arithmetic is wrapping
-//! (like the PEs' fixed-width ALUs), so lane-blocked accumulation orders
-//! are *bit-identical* to the sequential oracles, not merely close.
+//! **One plain form per operation.** Each operation is the per-element
+//! loop that states its semantics, so the kernel is its own reference.
+//! A second form exists only when it is a *different algorithm* that a
+//! benchmark workload measures: [`for_each_new_bit`] scans 64-bit words
+//! instead of single bits (BFS runs it every iteration). [`reference`]
+//! keeps that per-bit scan, a per-byte [`copy_rows`] and the shift-based
+//! [`decode_sext`] / [`encode_trunc`] as independent oracles for
+//! `crates/sim/tests/kernels.rs` and `bench_json --kernels`. Arithmetic
+//! wraps, like the PEs' fixed-width ALUs.
 //!
 //! Zero-copy entry points over PE memory live on [`crate::pe::Pe`]
-//! (`read_i32s` / `write_i32s` / `read_sext` / `write_trunc`): decodes
-//! borrow the materialized segment directly and encodes write straight
-//! into MRAM, so staging `Vec`s disappear from the apps' inner loops.
+//! (`read_i32s` / `write_i32s` / `read_sext` / `write_trunc`).
 
 use crate::dtype::DType;
 
-/// Lane count for 4-byte elements: one 64-byte block.
-const L32: usize = 16;
-
-/// Lane count for 8-byte elements: one 64-byte block.
-const L64: usize = 8;
-
 // Everything from here to the `reference` module runs once per PE per
-// app iteration; simlint's hot-alloc lint keeps the region allocation-free
-// (the PR 4 contract). Scratch belongs in callers' par_pes_with init.
-// simlint: hot(begin, typed-lane kernels)
-macro_rules! codec {
-    ($decode:ident, $encode:ident, $ty:ty, $lanes:expr, $w:expr) => {
-        /// Decodes little-endian elements from `src` into `dst`, one
-        /// 64-byte block (a full lane array) at a time.
-        ///
-        /// # Panics
-        ///
-        /// Panics if `src.len() != dst.len() * size_of::<element>()`.
-        pub fn $decode(src: &[u8], dst: &mut [$ty]) {
-            const W: usize = $w;
-            const L: usize = $lanes;
-            assert_eq!(src.len(), dst.len() * W, "decode length mismatch");
-            let mut sb = src.chunks_exact(W * L);
-            let mut db = dst.chunks_exact_mut(L);
-            for (s, d) in sb.by_ref().zip(db.by_ref()) {
-                for i in 0..L {
-                    d[i] = <$ty>::from_le_bytes(s[i * W..(i + 1) * W].try_into().unwrap());
-                }
-            }
-            for (s, d) in sb
-                .remainder()
-                .chunks_exact(W)
-                .zip(db.into_remainder().iter_mut())
-            {
-                *d = <$ty>::from_le_bytes(s.try_into().unwrap());
-            }
-        }
+// app iteration; simlint's hot-alloc lint keeps the region allocation-free.
+// simlint: hot(begin, per-element kernels)
 
-        /// Encodes `src` into little-endian bytes in `dst`, one 64-byte
-        /// block at a time.
-        ///
-        /// # Panics
-        ///
-        /// Panics if `dst.len() != src.len() * size_of::<element>()`.
-        pub fn $encode(src: &[$ty], dst: &mut [u8]) {
-            const W: usize = $w;
-            const L: usize = $lanes;
-            assert_eq!(dst.len(), src.len() * W, "encode length mismatch");
-            let mut sb = src.chunks_exact(L);
-            let mut db = dst.chunks_exact_mut(W * L);
-            for (s, d) in sb.by_ref().zip(db.by_ref()) {
-                for i in 0..L {
-                    d[i * W..(i + 1) * W].copy_from_slice(&s[i].to_le_bytes());
-                }
-            }
-            for (s, d) in sb
-                .remainder()
-                .iter()
-                .zip(db.into_remainder().chunks_exact_mut(W))
-            {
-                d.copy_from_slice(&s.to_le_bytes());
-            }
-        }
-    };
+/// Decodes little-endian `i32`s from `src` into `dst`. Every codec panics
+/// unless the byte slice holds exactly `elements * width` bytes.
+pub fn decode_i32(src: &[u8], dst: &mut [i32]) {
+    assert_eq!(src.len(), dst.len() * 4, "decode length mismatch");
+    for (s, d) in src.chunks_exact(4).zip(dst) {
+        *d = i32::from_le_bytes(s.try_into().unwrap());
+    }
 }
 
-codec!(decode_i32, encode_i32, i32, L32, 4);
-codec!(decode_u32, encode_u32, u32, L32, 4);
-codec!(decode_u64, encode_u64, u64, L64, 8);
+/// Encodes `src` into little-endian bytes in `dst`.
+pub fn encode_i32(src: &[i32], dst: &mut [u8]) {
+    assert_eq!(dst.len(), src.len() * 4, "encode length mismatch");
+    for (s, d) in src.iter().zip(dst.chunks_exact_mut(4)) {
+        d.copy_from_slice(&s.to_le_bytes());
+    }
+}
+
+/// As [`decode_i32`], for `u32`.
+pub fn decode_u32(src: &[u8], dst: &mut [u32]) {
+    assert_eq!(src.len(), dst.len() * 4, "decode length mismatch");
+    for (s, d) in src.chunks_exact(4).zip(dst) {
+        *d = u32::from_le_bytes(s.try_into().unwrap());
+    }
+}
+
+/// As [`encode_i32`], for `u32`.
+pub fn encode_u32(src: &[u32], dst: &mut [u8]) {
+    assert_eq!(dst.len(), src.len() * 4, "encode length mismatch");
+    for (s, d) in src.iter().zip(dst.chunks_exact_mut(4)) {
+        d.copy_from_slice(&s.to_le_bytes());
+    }
+}
+
+/// As [`encode_i32`], for `u64` (8 bytes per element).
+pub fn encode_u64(src: &[u64], dst: &mut [u8]) {
+    assert_eq!(dst.len(), src.len() * 8, "encode length mismatch");
+    for (s, d) in src.iter().zip(dst.chunks_exact_mut(8)) {
+        d.copy_from_slice(&s.to_le_bytes());
+    }
+}
 
 /// Sign-extending decode of 1/2/4-byte little-endian elements into `i32`
 /// — the typed view the GNN uses for its word-bit sensitivity study
-/// (narrow elements behave like fixed-width PE registers).
-///
-/// # Panics
-///
-/// Panics if `dtype` is wider than 4 bytes or if
-/// `src.len() != dst.len() * dtype.size_bytes()`.
+/// (narrow elements behave like fixed-width PE registers). Panics if
+/// `dtype` is wider than 4 bytes or the lengths disagree.
 pub fn decode_sext(dtype: DType, src: &[u8], dst: &mut [i32]) {
     match dtype.size_bytes() {
         1 => {
             assert_eq!(src.len(), dst.len(), "decode length mismatch");
-            let mut sb = src.chunks_exact(64);
-            let mut db = dst.chunks_exact_mut(64);
-            for (s, d) in sb.by_ref().zip(db.by_ref()) {
-                for i in 0..64 {
-                    d[i] = s[i] as i8 as i32;
-                }
-            }
-            for (s, d) in sb.remainder().iter().zip(db.into_remainder()) {
+            for (s, d) in src.iter().zip(dst) {
                 *d = *s as i8 as i32;
             }
         }
         2 => {
             assert_eq!(src.len(), dst.len() * 2, "decode length mismatch");
-            let mut sb = src.chunks_exact(64);
-            let mut db = dst.chunks_exact_mut(32);
-            for (s, d) in sb.by_ref().zip(db.by_ref()) {
-                for i in 0..32 {
-                    d[i] = i16::from_le_bytes(s[i * 2..(i + 1) * 2].try_into().unwrap()) as i32;
-                }
-            }
-            for (s, d) in sb
-                .remainder()
-                .chunks_exact(2)
-                .zip(db.into_remainder().iter_mut())
-            {
-                *d = i16::from_le_bytes(s.try_into().unwrap()) as i32;
+            for (s, d) in src.chunks_exact(2).zip(dst) {
+                *d = i16::from_le_bytes([s[0], s[1]]) as i32;
             }
         }
         4 => decode_i32(src, dst),
@@ -167,40 +89,18 @@ pub fn decode_sext(dtype: DType, src: &[u8], dst: &mut [i32]) {
 /// Truncating encode of `i32` values to 1/2/4-byte little-endian elements
 /// (the low bytes, exactly what storing through a narrow PE register
 /// would keep). Inverse of [`decode_sext`] for values that fit the width.
-///
-/// # Panics
-///
-/// Panics if `dtype` is wider than 4 bytes or if
-/// `dst.len() != src.len() * dtype.size_bytes()`.
+/// Panics if `dtype` is wider than 4 bytes or the lengths disagree.
 pub fn encode_trunc(dtype: DType, src: &[i32], dst: &mut [u8]) {
     match dtype.size_bytes() {
         1 => {
             assert_eq!(dst.len(), src.len(), "encode length mismatch");
-            let mut sb = src.chunks_exact(64);
-            let mut db = dst.chunks_exact_mut(64);
-            for (s, d) in sb.by_ref().zip(db.by_ref()) {
-                for i in 0..64 {
-                    d[i] = s[i] as u8;
-                }
-            }
-            for (s, d) in sb.remainder().iter().zip(db.into_remainder()) {
+            for (s, d) in src.iter().zip(dst) {
                 *d = *s as u8;
             }
         }
         2 => {
             assert_eq!(dst.len(), src.len() * 2, "encode length mismatch");
-            let mut sb = src.chunks_exact(32);
-            let mut db = dst.chunks_exact_mut(64);
-            for (s, d) in sb.by_ref().zip(db.by_ref()) {
-                for i in 0..32 {
-                    d[i * 2..(i + 1) * 2].copy_from_slice(&(s[i] as i16).to_le_bytes());
-                }
-            }
-            for (s, d) in sb
-                .remainder()
-                .iter()
-                .zip(db.into_remainder().chunks_exact_mut(2))
-            {
+            for (s, d) in src.iter().zip(dst.chunks_exact_mut(2)) {
                 d.copy_from_slice(&(*s as i16).to_le_bytes());
             }
         }
@@ -209,176 +109,59 @@ pub fn encode_trunc(dtype: DType, src: &[i32], dst: &mut [u8]) {
     }
 }
 
-/// Wrapping partial-vector accumulate `acc[i] += x * xs[i]` — one column
-/// step of a blocked gemv (the MLP layer kernel runs one call per owned
-/// nonzero activation, over the full `f`-length partial vector).
-///
-/// # Panics
-///
-/// Panics if the slice lengths differ.
-pub fn axpy_i32(acc: &mut [i32], x: i32, xs: &[i32]) {
-    assert_eq!(acc.len(), xs.len(), "axpy length mismatch");
-    let mut ab = acc.chunks_exact_mut(L32);
-    let mut sb = xs.chunks_exact(L32);
-    for (a, s) in ab.by_ref().zip(sb.by_ref()) {
-        for i in 0..L32 {
-            a[i] = a[i].wrapping_add(x.wrapping_mul(s[i]));
-        }
-    }
-    for (a, s) in ab.into_remainder().iter_mut().zip(sb.remainder()) {
-        *a = a.wrapping_add(x.wrapping_mul(*s));
-    }
-}
-
-/// As [`axpy_i32`], fused with the little-endian decode of the column:
-/// `acc[i] += x * le_i32(src[4i..])`. This is the MLP inner loop run
-/// directly over the weight column bytes staged in PE MRAM — no
-/// intermediate decode buffer.
-///
-/// # Panics
-///
-/// Panics if `src.len() != acc.len() * 4`.
+/// Wrapping partial-vector accumulate fused with the little-endian decode
+/// of the column: `acc[i] += x * le_i32(src[4i..])`. This is the MLP
+/// inner loop run directly over the weight column bytes staged in PE
+/// MRAM — no intermediate decode buffer. Panics unless
+/// `src.len() == acc.len() * 4`.
 pub fn axpy_i32_bytes(acc: &mut [i32], x: i32, src: &[u8]) {
     assert_eq!(src.len(), acc.len() * 4, "axpy length mismatch");
-    let mut ab = acc.chunks_exact_mut(L32);
-    let mut sb = src.chunks_exact(64);
-    for (a, s) in ab.by_ref().zip(sb.by_ref()) {
-        let mut sv = [0i32; L32];
-        for i in 0..L32 {
-            sv[i] = i32::from_le_bytes(s[i * 4..(i + 1) * 4].try_into().unwrap());
-        }
-        for i in 0..L32 {
-            a[i] = a[i].wrapping_add(x.wrapping_mul(sv[i]));
-        }
-    }
-    for (a, s) in ab
-        .into_remainder()
-        .iter_mut()
-        .zip(sb.remainder().chunks_exact(4))
-    {
-        *a = a.wrapping_add(x.wrapping_mul(i32::from_le_bytes(s.try_into().unwrap())));
+    for (a, s) in acc.iter_mut().zip(src.chunks_exact(4)) {
+        let v = i32::from_le_bytes(s.try_into().unwrap());
+        *a = a.wrapping_add(x.wrapping_mul(v));
     }
 }
 
-/// Wraps `v` to the low `dtype` bytes, sign-extended — the fixed-width PE
-/// register semantics of the GNN's narrow-element arithmetic. `SHIFT` is
-/// `32 - 8 * width`, so width 4 is the identity.
+/// Wraps `v` to its low `width` bytes, sign-extended — the fixed-width PE
+/// register semantics of the GNN's narrow-element arithmetic.
 #[inline(always)]
-fn wrap32<const SHIFT: u32>(v: i32) -> i32 {
-    (v << SHIFT) >> SHIFT
-}
-
-macro_rules! width_dispatch {
-    ($dtype:expr, $call:ident ( $($arg:expr),* )) => {
-        match $dtype.size_bytes() {
-            1 => $call::<24>($($arg),*),
-            2 => $call::<16>($($arg),*),
-            4 => $call::<0>($($arg),*),
-            w => panic!("typed-lane kernels support 1/2/4-byte elements, got {w}"),
-        }
-    };
-}
-
-fn add_wrap_impl<const SHIFT: u32>(acc: &mut [i32], src: &[i32]) {
-    let mut ab = acc.chunks_exact_mut(L32);
-    let mut sb = src.chunks_exact(L32);
-    for (a, s) in ab.by_ref().zip(sb.by_ref()) {
-        for i in 0..L32 {
-            a[i] = wrap32::<SHIFT>(a[i].wrapping_add(s[i]));
-        }
-    }
-    for (a, s) in ab.into_remainder().iter_mut().zip(sb.remainder()) {
-        *a = wrap32::<SHIFT>(a.wrapping_add(*s));
+fn wrap(v: i32, width: usize) -> i32 {
+    match width {
+        1 => v as i8 as i32,
+        2 => v as i16 as i32,
+        _ => v,
     }
 }
 
 /// Element-wise wrapping accumulate at the declared element width:
 /// `acc[i] = wrap(acc[i] + src[i])` — the segment-sum step of the GNN
-/// aggregation (`partial.row(u) += F.row(v)`) and of any row-pooling
-/// loop.
-///
-/// # Panics
-///
-/// Panics if the lengths differ or `dtype` is wider than 4 bytes.
+/// aggregation (`partial.row(u) += F.row(v)`). Panics if the lengths
+/// differ or `dtype` is wider than 4 bytes.
 pub fn add_wrap(dtype: DType, acc: &mut [i32], src: &[i32]) {
     assert_eq!(acc.len(), src.len(), "add_wrap length mismatch");
-    width_dispatch!(dtype, add_wrap_impl(acc, src))
-}
-
-fn axpy_wrap_impl<const SHIFT: u32>(acc: &mut [i32], x: i32, xs: &[i32]) {
-    let mut ab = acc.chunks_exact_mut(L32);
-    let mut sb = xs.chunks_exact(L32);
-    for (a, s) in ab.by_ref().zip(sb.by_ref()) {
-        for i in 0..L32 {
-            a[i] = wrap32::<SHIFT>(a[i].wrapping_add(x.wrapping_mul(s[i])));
-        }
-    }
-    for (a, s) in ab.into_remainder().iter_mut().zip(sb.remainder()) {
-        *a = wrap32::<SHIFT>(a.wrapping_add(x.wrapping_mul(*s)));
+    let w = dtype.size_bytes();
+    assert!(w <= 4, "add_wrap supports 1/2/4-byte elements, got {w}");
+    for (a, s) in acc.iter_mut().zip(src) {
+        *a = wrap(a.wrapping_add(*s), w);
     }
 }
 
-/// [`axpy_i32`] at the declared element width, wrapping every
-/// multiply-accumulate to it: `acc[i] = wrap(acc[i] + x * xs[i])` — one
-/// row step of the GNN combination gemm.
-///
-/// # Panics
-///
-/// Panics if the lengths differ or `dtype` is wider than 4 bytes.
+/// Wrapping multiply-accumulate at the declared element width:
+/// `acc[i] = wrap(acc[i] + x * xs[i])` — one row step of the GNN
+/// combination gemm. Panics like [`add_wrap`].
 pub fn axpy_wrap(dtype: DType, acc: &mut [i32], x: i32, xs: &[i32]) {
     assert_eq!(acc.len(), xs.len(), "axpy_wrap length mismatch");
-    width_dispatch!(dtype, axpy_wrap_impl(acc, x, xs))
+    let w = dtype.size_bytes();
+    assert!(w <= 4, "axpy_wrap supports 1/2/4-byte elements, got {w}");
+    for (a, s) in acc.iter_mut().zip(xs) {
+        *a = wrap(a.wrapping_add(x.wrapping_mul(*s)), w);
+    }
 }
 
 /// Element-wise ReLU in place: `xs[i] = max(xs[i], 0)`.
 pub fn relu_i32(xs: &mut [i32]) {
-    let mut xb = xs.chunks_exact_mut(L32);
-    for x in xb.by_ref() {
-        for v in x.iter_mut() {
-            *v = (*v).max(0);
-        }
-    }
-    for x in xb.into_remainder() {
+    for x in xs {
         *x = (*x).max(0);
-    }
-}
-
-/// Element-wise max pooling step: `acc[i] = max(acc[i], src[i])`.
-///
-/// # Panics
-///
-/// Panics if the slice lengths differ.
-pub fn max_i32(acc: &mut [i32], src: &[i32]) {
-    assert_eq!(acc.len(), src.len(), "max length mismatch");
-    let mut ab = acc.chunks_exact_mut(L32);
-    let mut sb = src.chunks_exact(L32);
-    for (a, s) in ab.by_ref().zip(sb.by_ref()) {
-        for i in 0..L32 {
-            a[i] = a[i].max(s[i]);
-        }
-    }
-    for (a, s) in ab.into_remainder().iter_mut().zip(sb.remainder()) {
-        *a = (*a).max(*s);
-    }
-}
-
-/// Bitwise OR of two bitmaps: `acc[i] |= src[i]` — the frontier-merge
-/// step of BFS/CC-style bitmap algorithms.
-///
-/// # Panics
-///
-/// Panics if the slice lengths differ.
-pub fn bitmap_or(acc: &mut [u8], src: &[u8]) {
-    assert_eq!(acc.len(), src.len(), "bitmap length mismatch");
-    let mut ab = acc.chunks_exact_mut(64);
-    let mut sb = src.chunks_exact(64);
-    for (a, s) in ab.by_ref().zip(sb.by_ref()) {
-        for i in 0..64 {
-            a[i] |= s[i];
-        }
-    }
-    for (a, s) in ab.into_remainder().iter_mut().zip(sb.remainder()) {
-        *a |= *s;
     }
 }
 
@@ -387,11 +170,7 @@ pub fn bitmap_or(acc: &mut [u8], src: &[u8]) {
 /// vertices). Bit `v` lives at `bitmap[v / 8] & (1 << (v % 8))`, matching
 /// the apps' layout. The bulk runs 64 bits at a time on `u64` words with
 /// `trailing_zeros`, so a mostly-unchanged bitmap costs one compare per
-/// word instead of one per bit.
-///
-/// # Panics
-///
-/// Panics if the slice lengths differ.
+/// word instead of one per bit. Panics if the slice lengths differ.
 pub fn for_each_new_bit(news: &[u8], olds: &[u8], mut f: impl FnMut(usize)) {
     assert_eq!(news.len(), olds.len(), "bitmap length mismatch");
     let mut nb = news.chunks_exact(8);
@@ -419,12 +198,8 @@ pub fn for_each_new_bit(news: &[u8], olds: &[u8], mut f: impl FnMut(usize)) {
 /// (consecutive rows `src_pitch` bytes apart, starting at `src_off`) to a
 /// strided layout in `dst` — the typed scatter/gather between staged
 /// row-major blocks and column-block-major collective payloads (the GNN
-/// AllGather transpose). Each row is one `copy_from_slice`.
-///
-/// # Panics
-///
-/// Panics if a pitch is smaller than the row or either layout overruns
-/// its slice.
+/// AllGather transpose). Each row is one `copy_from_slice`. Panics if a
+/// pitch is smaller than the row or either layout overruns its slice.
 #[allow(clippy::too_many_arguments)] // two (slice, offset, pitch) views + a row shape
 pub fn copy_rows(
     dst: &mut [u8],
@@ -460,66 +235,13 @@ pub fn copy_rows(
 
 // simlint: hot(end)
 
-/// Per-element scalar twins of every kernel — the loop shapes the
-/// applications ran before this module existed. They are the oracles the
-/// property suite (`crates/sim/tests/kernels.rs`) pins the blocked
-/// kernels against and the baselines the microbenches
-/// (`benches/primitives.rs`) measure them over; they are not meant to be
-/// called from production paths.
+/// Independent formulations of the four kernels that have one. The
+/// property suite pins each kernel to its oracle and `bench_json
+/// --kernels` times the pair; production paths never call them.
 pub mod reference {
     use crate::dtype::DType;
 
-    /// Scalar twin of [`super::decode_i32`].
-    pub fn decode_i32_scalar_ref(src: &[u8], dst: &mut [i32]) {
-        assert_eq!(src.len(), dst.len() * 4, "decode length mismatch");
-        for (s, d) in src.chunks_exact(4).zip(dst) {
-            *d = i32::from_le_bytes(s.try_into().unwrap());
-        }
-    }
-
-    /// Scalar twin of [`super::encode_i32`] (the apps'
-    /// `flat_map(to_le_bytes).collect` shape, without the allocation).
-    pub fn encode_i32_scalar_ref(src: &[i32], dst: &mut [u8]) {
-        assert_eq!(dst.len(), src.len() * 4, "encode length mismatch");
-        for (s, d) in src.iter().zip(dst.chunks_exact_mut(4)) {
-            d.copy_from_slice(&s.to_le_bytes());
-        }
-    }
-
-    /// Scalar twin of [`super::decode_u32`].
-    pub fn decode_u32_scalar_ref(src: &[u8], dst: &mut [u32]) {
-        assert_eq!(src.len(), dst.len() * 4, "decode length mismatch");
-        for (s, d) in src.chunks_exact(4).zip(dst) {
-            *d = u32::from_le_bytes(s.try_into().unwrap());
-        }
-    }
-
-    /// Scalar twin of [`super::encode_u32`].
-    pub fn encode_u32_scalar_ref(src: &[u32], dst: &mut [u8]) {
-        assert_eq!(dst.len(), src.len() * 4, "encode length mismatch");
-        for (s, d) in src.iter().zip(dst.chunks_exact_mut(4)) {
-            d.copy_from_slice(&s.to_le_bytes());
-        }
-    }
-
-    /// Scalar twin of [`super::decode_u64`].
-    pub fn decode_u64_scalar_ref(src: &[u8], dst: &mut [u64]) {
-        assert_eq!(src.len(), dst.len() * 8, "decode length mismatch");
-        for (s, d) in src.chunks_exact(8).zip(dst) {
-            *d = u64::from_le_bytes(s.try_into().unwrap());
-        }
-    }
-
-    /// Scalar twin of [`super::encode_u64`].
-    pub fn encode_u64_scalar_ref(src: &[u64], dst: &mut [u8]) {
-        assert_eq!(dst.len(), src.len() * 8, "encode length mismatch");
-        for (s, d) in src.iter().zip(dst.chunks_exact_mut(8)) {
-            d.copy_from_slice(&s.to_le_bytes());
-        }
-    }
-
-    /// Scalar twin of [`super::decode_sext`] (the GNN's
-    /// `mat_from_bytes` per-element sign-extension).
+    /// Oracle of [`super::decode_sext`]: widen, then shift to sign-extend.
     pub fn decode_sext_scalar_ref(dtype: DType, src: &[u8], dst: &mut [i32]) {
         let w = dtype.size_bytes();
         assert!(w <= 4, "decode_sext supports 1/2/4-byte elements");
@@ -532,8 +254,7 @@ pub mod reference {
         }
     }
 
-    /// Scalar twin of [`super::encode_trunc`] (the GNN's `mat_to_bytes`
-    /// per-element truncation).
+    /// Oracle of [`super::encode_trunc`]: the low bytes of the full word.
     pub fn encode_trunc_scalar_ref(dtype: DType, src: &[i32], dst: &mut [u8]) {
         let w = dtype.size_bytes();
         assert!(w <= 4, "encode_trunc supports 1/2/4-byte elements");
@@ -543,76 +264,7 @@ pub mod reference {
         }
     }
 
-    /// Scalar twin of [`super::axpy_i32`] (the MLP partial-vector inner
-    /// loop).
-    pub fn axpy_i32_scalar_ref(acc: &mut [i32], x: i32, xs: &[i32]) {
-        assert_eq!(acc.len(), xs.len(), "axpy length mismatch");
-        for (a, s) in acc.iter_mut().zip(xs) {
-            *a = a.wrapping_add(x.wrapping_mul(*s));
-        }
-    }
-
-    /// Scalar twin of [`super::axpy_i32_bytes`] (decode-per-element, the
-    /// seed MLP shape).
-    pub fn axpy_i32_bytes_scalar_ref(acc: &mut [i32], x: i32, src: &[u8]) {
-        assert_eq!(src.len(), acc.len() * 4, "axpy length mismatch");
-        for (a, s) in acc.iter_mut().zip(src.chunks_exact(4)) {
-            let v = i32::from_le_bytes(s.try_into().unwrap());
-            *a = a.wrapping_add(x.wrapping_mul(v));
-        }
-    }
-
-    fn wrap(v: i32, dtype: DType) -> i32 {
-        match dtype.size_bytes() {
-            1 => v as i8 as i32,
-            2 => v as i16 as i32,
-            _ => v,
-        }
-    }
-
-    /// Scalar twin of [`super::add_wrap`] (the GNN aggregation
-    /// element loop).
-    pub fn add_wrap_scalar_ref(dtype: DType, acc: &mut [i32], src: &[i32]) {
-        assert_eq!(acc.len(), src.len(), "add_wrap length mismatch");
-        for (a, s) in acc.iter_mut().zip(src) {
-            *a = wrap(a.wrapping_add(*s), dtype);
-        }
-    }
-
-    /// Scalar twin of [`super::axpy_wrap`] (the GNN combination element
-    /// loop).
-    pub fn axpy_wrap_scalar_ref(dtype: DType, acc: &mut [i32], x: i32, xs: &[i32]) {
-        assert_eq!(acc.len(), xs.len(), "axpy_wrap length mismatch");
-        for (a, s) in acc.iter_mut().zip(xs) {
-            *a = wrap(a.wrapping_add(x.wrapping_mul(*s)), dtype);
-        }
-    }
-
-    /// Scalar twin of [`super::relu_i32`].
-    pub fn relu_i32_scalar_ref(xs: &mut [i32]) {
-        for x in xs {
-            *x = (*x).max(0);
-        }
-    }
-
-    /// Scalar twin of [`super::max_i32`].
-    pub fn max_i32_scalar_ref(acc: &mut [i32], src: &[i32]) {
-        assert_eq!(acc.len(), src.len(), "max length mismatch");
-        for (a, s) in acc.iter_mut().zip(src) {
-            *a = (*a).max(*s);
-        }
-    }
-
-    /// Scalar twin of [`super::bitmap_or`].
-    pub fn bitmap_or_scalar_ref(acc: &mut [u8], src: &[u8]) {
-        assert_eq!(acc.len(), src.len(), "bitmap length mismatch");
-        for (a, s) in acc.iter_mut().zip(src) {
-            *a |= *s;
-        }
-    }
-
-    /// Scalar twin of [`super::for_each_new_bit`] (the apps'
-    /// bit-at-a-time frontier scan).
+    /// Oracle of [`super::for_each_new_bit`]: the bit-at-a-time scan.
     pub fn for_each_new_bit_scalar_ref(news: &[u8], olds: &[u8], mut f: impl FnMut(usize)) {
         assert_eq!(news.len(), olds.len(), "bitmap length mismatch");
         let get = |bm: &[u8], v: usize| bm[v / 8] & (1 << (v % 8)) != 0;
@@ -623,8 +275,7 @@ pub mod reference {
         }
     }
 
-    /// Scalar twin of [`super::copy_rows`] (byte-at-a-time row
-    /// scatter/gather).
+    /// Oracle of [`super::copy_rows`]: byte-at-a-time row scatter/gather.
     #[allow(clippy::too_many_arguments)] // mirrors the kernel signature
     pub fn copy_rows_scalar_ref(
         dst: &mut [u8],
@@ -647,10 +298,6 @@ pub mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    // The exhaustive seeded property suite lives in
-    // `crates/sim/tests/kernels.rs`; these are smoke checks of the basic
-    // mappings.
 
     #[test]
     fn codec_roundtrip() {
@@ -676,8 +323,21 @@ mod tests {
     #[test]
     fn axpy_accumulates_wrapping() {
         let mut acc = vec![i32::MAX, 1, 2];
-        axpy_i32(&mut acc, 2, &[1, 10, 100]);
-        assert_eq!(acc, vec![i32::MAX.wrapping_add(2), 21, 202]);
+        axpy_wrap(DType::I32, &mut acc, 2, &[1, 10, 100]);
+        assert_eq!(acc, vec![i32::MIN + 1, 21, 202]);
+    }
+
+    #[test]
+    fn add_wrap_wraps_at_the_element_width() {
+        let mut acc = vec![127, -128, 5];
+        add_wrap(DType::I8, &mut acc, &[1, -1, 1]);
+        assert_eq!(acc, vec![-128, 127, 6]);
+        let mut acc = vec![32767, -32768, 5];
+        add_wrap(DType::I16, &mut acc, &[1, -1, 1]);
+        assert_eq!(acc, vec![-32768, 32767, 6]);
+        let mut acc = vec![100];
+        axpy_wrap(DType::I8, &mut acc, 2, &[14]);
+        assert_eq!(acc, vec![-128]);
     }
 
     #[test]
