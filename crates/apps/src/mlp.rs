@@ -9,6 +9,11 @@
 //! (Scatter → [kernel → ReduceScatter]×L → Gather). The per-layer
 //! ReduceScatter plan is built once for the whole stack (pooled in the
 //! worker's arena plan cache) and re-executed each layer.
+//!
+//! The weights are generated straight into the PE-column order the
+//! Scatter sends, one `MatI32::entry` per element: no row-major matrix
+//! is ever built. The CPU reference reads that host image column by
+//! column, so it depends neither on PE memory nor on `pim_sim::kernels`.
 
 use std::sync::Arc;
 
@@ -75,20 +80,49 @@ fn relu(v: i32) -> i32 {
     v.max(0)
 }
 
-/// CPU reference: `x <- relu(W_l x)` per layer, wrapping arithmetic.
-fn cpu_reference(weights: &[MatI32], x0: &[i32]) -> (Vec<i32>, f64) {
+/// Seed of layer `l`'s weight matrix `W_l`.
+fn weight_seed(l: usize) -> u64 {
+    0x9a77 + l as u64
+}
+
+/// Fills the host weight image the Scatter sends: PE `pe`'s
+/// `layers * f * cols` little-endian `i32`s hold, layer by layer, its
+/// owned columns `[pe*cols, (pe+1)*cols)` of `W_l`, each column a
+/// contiguous f-length run. Element `W_l[r][c]` is generated in place as
+/// [`MatI32::entry`]`(r * f + c, 4, weight_seed(l))`, the same value as
+/// `MatI32::random(f, f, 4, weight_seed(l)).get(r, c)`.
+fn stage_weights(w_host: &mut [u8], f: usize, cols: usize, layers: usize, threads: usize) {
+    par_chunks(w_host, layers * f * cols * 4, threads, |pe, chunk| {
+        for (k, column) in chunk.chunks_exact_mut(f * 4).enumerate() {
+            let (seed, c) = (weight_seed(k / cols), pe * cols + k % cols);
+            for (r, dst) in column.chunks_exact_mut(4).enumerate() {
+                dst.copy_from_slice(&MatI32::entry(r * f + c, 4, seed).to_le_bytes());
+            }
+        }
+    });
+}
+
+/// CPU reference: `x <- relu(W_l x)` per layer, wrapping arithmetic. Reads
+/// `W_l`'s column `c` as its contiguous run in the host image
+/// [`stage_weights`] built (host input only, never PE memory), with a plain
+/// decode + multiply-add loop independent of `pim_sim::kernels`.
+fn cpu_reference(w_host: &[u8], x0: &[i32], cols: usize, layers: usize) -> (Vec<i32>, f64) {
     let cpu = CpuModel::xeon_5215();
     let f = x0.len();
+    let w_slice_bytes = layers * f * cols * 4;
     let mut x = x0.to_vec();
     let mut time = 0.0;
-    for w in weights {
+    for l in 0..layers {
         let mut y = vec![0i32; f];
         for (c, &xv) in x.iter().enumerate() {
             if xv == 0 {
                 continue;
             }
-            for (r, yv) in y.iter_mut().enumerate() {
-                *yv = yv.wrapping_add(w.get(r, c).wrapping_mul(xv));
+            let start = (c / cols) * w_slice_bytes + (l * cols + c % cols) * f * 4;
+            let column = w_host[start..start + f * 4].chunks_exact(4);
+            for (yv, w) in y.iter_mut().zip(column) {
+                let w = i32::from_le_bytes(w.try_into().unwrap());
+                *yv = yv.wrapping_add(w.wrapping_mul(xv));
             }
         }
         x = y.into_iter().map(relu).collect();
@@ -184,10 +218,7 @@ pub fn run_mlp_resilient_in(
     let mut profile = AppProfile::new("MLP", cfg.label());
     let mut sup = Supervisor::new(p, policy);
 
-    // Deterministic weights and input.
-    let weights: Vec<MatI32> = (0..cfg.layers)
-        .map(|l| MatI32::random(f, f, 4, 0x9a77 + l as u64))
-        .collect();
+    // Deterministic input.
     let x0: Vec<i32> = (0..f).map(|i| ((i * 37 + 11) % 9) as i32 - 4).collect();
 
     // Layout: activation slice at SLICE, partial vectors at PARTIAL,
@@ -204,17 +235,7 @@ pub fn run_mlp_resilient_in(
     // at once: PE p receives columns [p*cols, (p+1)*cols) of every W_l.
     let host_x: Vec<Vec<u8>> = vec![x0.iter().flat_map(|v| v.to_le_bytes()).collect()];
     let mut w_host = arena.bytes(p * w_slice_bytes);
-    par_chunks(&mut w_host, w_slice_bytes, cfg.threads, |dst_pe, chunk| {
-        let mut off = 0;
-        for w in &weights {
-            for c in dst_pe * cols..(dst_pe + 1) * cols {
-                for r in 0..f {
-                    chunk[off..off + 4].copy_from_slice(&w.get(r, c).to_le_bytes());
-                    off += 4;
-                }
-            }
-        }
-    });
+    stage_weights(&mut w_host, f, cols, cfg.layers, cfg.threads);
 
     let x_scatter_plan = comm.plan_cached(
         &mut plans,
@@ -251,8 +272,8 @@ pub fn run_mlp_resilient_in(
     let mut result: Option<Vec<i32>> = None;
     'run: {
         // Setup: both scatters restage everything from host buffers, so a
-        // re-run needs no checkpointed MRAM state. The weight image is
-        // dead once the setup commits.
+        // re-run needs no checkpointed MRAM state. The weight image stays
+        // live for the CPU reference.
         let setup = sup.iteration(&mut sys, arena, &[], |sys, at| {
             let a = at.collective(&comm, sys, &x_scatter_plan, Some(&host_x))?;
             let b = at.collective(
@@ -263,7 +284,6 @@ pub fn run_mlp_resilient_in(
             )?;
             Ok([a.reports[0].clone(), b.reports[0].clone()])
         });
-        arena.recycle_bytes(w_host);
         match setup? {
             Iteration::Done(reports) => {
                 for r in &reports {
@@ -356,7 +376,8 @@ pub fn run_mlp_resilient_in(
         }
     }
 
-    let (expected, cpu_ns) = cpu_reference(&weights, &x0);
+    let (expected, cpu_ns) = cpu_reference(&w_host, &x0, cols, cfg.layers);
+    arena.recycle_bytes(w_host);
     let (mismatched, validated) = match &result {
         Some(r) => {
             let mm = r.iter().zip(&expected).filter(|(a, b)| a != b).count()
@@ -390,6 +411,29 @@ pub fn run_mlp_resilient_in(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn staged_image_is_the_column_major_transpose_of_the_weights() {
+        let (f, p, layers) = (512, 64, 3);
+        let cols = f / p;
+        let mut w_host = vec![0u8; layers * f * f * 4];
+        stage_weights(&mut w_host, f, cols, layers, 0);
+        let weights: Vec<MatI32> = (0..layers)
+            .map(|l| MatI32::random(f, f, 4, weight_seed(l)))
+            .collect();
+        let mut words = w_host.chunks_exact(4);
+        for pe in 0..p {
+            for (l, w) in weights.iter().enumerate() {
+                for c in pe * cols..(pe + 1) * cols {
+                    for r in 0..f {
+                        let v = i32::from_le_bytes(words.next().unwrap().try_into().unwrap());
+                        assert_eq!(v, w.get(r, c), "pe {pe} layer {l} ({r}, {c})");
+                    }
+                }
+            }
+        }
+        assert!(words.next().is_none());
+    }
 
     #[test]
     fn mlp_validates_on_64_pes() {
